@@ -87,28 +87,62 @@ void BM_AdderSimulationWord(benchmark::State& state) {
 BENCHMARK(BM_AdderSimulationWord)->Arg(8)->Arg(16)->Arg(32);
 
 // Activity-extraction workload (1024 random vectors over a 16-bit RCA)
-// through each kernel. The scalar/word pair is the measured speedup that
-// CI gates on (tools/bench_diff.py --require-speedup).
-void BM_AdderWorkloadScalar(benchmark::State& state) {
+// through each kernel at a fixed exec width. The runner spreads its
+// slices over exec workers, so the unsuffixed scalar/word pair — the
+// measured kernel speedup CI gates on (tools/bench_diff.py
+// --require-speedup) — runs at width 1 to compare kernels, not thread
+// counts. The /threads:4 rows show the runner's scaling: 64 scalar
+// slices of 16 vectors, but a single 1024-vector word slice.
+template <class Sim>
+void adder_workload(benchmark::State& state, std::size_t threads) {
+  lv::exec::set_thread_count(threads);
   lv::circuit::Netlist nl;
   const auto ports = lv::circuit::build_ripple_carry_adder(nl, 16);
   const auto a = lv::sim::random_vectors(1024, 16, 21);
   const auto b = lv::sim::random_vectors(1024, 16, 22);
-  lv::sim::Simulator sim{nl};
+  Sim sim{nl};
   for (auto _ : state) {
     lv::sim::run_two_operand_workload(sim, ports.a, ports.b, a, b);
     benchmark::DoNotOptimize(sim.stats().cycles());
   }
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(a.size()));
+  lv::exec::set_thread_count(0);
+}
+
+void BM_AdderWorkloadScalar(benchmark::State& state) {
+  adder_workload<lv::sim::Simulator>(state, 1);
 }
 BENCHMARK(BM_AdderWorkloadScalar);
 
 void BM_AdderWorkloadWord(benchmark::State& state) {
+  adder_workload<lv::sim::BitParallelSimulator>(state, 1);
+}
+BENCHMARK(BM_AdderWorkloadWord);
+
+void BM_AdderWorkloadScalarThreads(benchmark::State& state) {
+  adder_workload<lv::sim::Simulator>(
+      state, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_AdderWorkloadScalarThreads)->ArgName("threads")->Arg(4)
+    ->UseRealTime();
+
+void BM_AdderWorkloadWordThreads(benchmark::State& state) {
+  adder_workload<lv::sim::BitParallelSimulator>(
+      state, static_cast<std::size_t>(state.range(0)));
+}
+BENCHMARK(BM_AdderWorkloadWordThreads)->ArgName("threads")->Arg(4)
+    ->UseRealTime();
+
+// Glitch-heavy word-kernel replay: 2000 random vectors over an 8-bit
+// array multiplier (the `simulate mul8 --kernel word --vectors 2000`
+// job), i.e. two word slices, at widths 1 and 4.
+void BM_MultiplierWorkloadWord(benchmark::State& state) {
+  lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   lv::circuit::Netlist nl;
-  const auto ports = lv::circuit::build_ripple_carry_adder(nl, 16);
-  const auto a = lv::sim::random_vectors(1024, 16, 21);
-  const auto b = lv::sim::random_vectors(1024, 16, 22);
+  const auto ports = lv::circuit::build_array_multiplier(nl, 8);
+  const auto a = lv::sim::random_vectors(2000, 8, 23);
+  const auto b = lv::sim::random_vectors(2000, 8, 24);
   lv::sim::BitParallelSimulator sim{nl};
   for (auto _ : state) {
     lv::sim::run_two_operand_workload(sim, ports.a, ports.b, a, b);
@@ -116,8 +150,10 @@ void BM_AdderWorkloadWord(benchmark::State& state) {
   }
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(a.size()));
+  lv::exec::set_thread_count(0);
 }
-BENCHMARK(BM_AdderWorkloadWord);
+BENCHMARK(BM_MultiplierWorkloadWord)->ArgName("threads")->Arg(1)->Arg(4)
+    ->UseRealTime();
 
 void BM_MachineIdeaBlock(benchmark::State& state) {
   const auto workload = lv::workloads::idea_workload(1);

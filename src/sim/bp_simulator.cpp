@@ -95,10 +95,11 @@ BitParallelSimulator::BitParallelSimulator(
   delay_ = graph_->delays(config_.delay_model).data();
   luts_ = graph_->luts().data();
   if (options_.force_lut_fallback) {
-    forced_plan_ = graph_->word_ops();
-    for (auto& op : forced_plan_)
+    auto plan = std::make_shared<std::vector<std::uint8_t>>(graph_->word_ops());
+    for (auto& op : *plan)
       if (op != SimGraph::kWordSequential) op = SimGraph::kWordLut;
-    word_ops_ = forced_plan_.data();
+    forced_plan_ = std::move(plan);
+    word_ops_ = forced_plan_->data();
   } else {
     word_ops_ = graph_->word_ops().data();
   }
@@ -268,7 +269,7 @@ std::uint64_t BitParallelSimulator::drain_events() {
     const WordEvent e = queue_.pop();
     apply_event(e.net, e.value, queue_.time());
     if (++processed > budget)
-      throw u::Error(
+      throw EventBudgetError(
           "BitParallelSimulator: event budget exceeded (oscillation?)");
   }
   if (obs::enabled()) {

@@ -120,6 +120,9 @@ class BitParallelSimulator {
 
   // Aggregate over active lanes; cycles() = sum of active lane-cycles.
   const ActivityStats& stats() const { return stats_; }
+  // Adds aggregate counters gathered elsewhere into stats(); per-lane
+  // counters are not touched.
+  void add_stats(const ActivityStats& other) { stats_.add(other); }
   // Per-lane slice (requires Options::per_lane_stats).
   ActivityStats lane_stats(unsigned lane) const;
   void clear_stats();
@@ -162,8 +165,9 @@ class BitParallelSimulator {
   std::vector<std::uint64_t> lane_settled_changes_;
   std::uint64_t lane_cycles_[kLaneCount] = {};
   // Overridden word plan when Options::force_lut_fallback demotes every
-  // combinational instance to the per-lane LUT path.
-  std::vector<std::uint8_t> forced_plan_;
+  // combinational instance to the per-lane LUT path. Immutable and
+  // shared, so word_ops_ stays valid in copies that outlive the source.
+  std::shared_ptr<const std::vector<std::uint8_t>> forced_plan_;
   // Reused scratch buffers (steady state stays allocation-free, same
   // contract as the scalar kernel; pinned by tests/sim_alloc_test.cpp).
   std::vector<std::pair<circuit::InstanceId, LogicW>> captures_;

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
+#include "util/error.hpp"
 
 namespace lv::sim {
 
@@ -51,6 +52,15 @@ struct SimConfig {
   DelayModel delay_model = DelayModel::unit;
   // Safety valve: maximum events processed per settle() call.
   std::uint64_t max_events_per_settle = 50'000'000;
+};
+
+// Thrown by settle() (either kernel) when one settle processes more than
+// SimConfig::max_events_per_settle events. Typed so front-ends can report
+// it as the coded `sim.event_budget` diagnostic instead of an internal
+// fault.
+class EventBudgetError : public util::Error {
+ public:
+  using util::Error::Error;
 };
 
 class SimGraph {

@@ -98,6 +98,16 @@ double ActivityStats::glitch_fraction(NetId net) const {
          static_cast<double>(toggles);
 }
 
+void ActivityStats::add(const ActivityStats& other) {
+  if (other.transitions_.size() != transitions_.size())
+    throw u::Error("ActivityStats: add: net count mismatch");
+  for (std::size_t n = 0; n < transitions_.size(); ++n) {
+    transitions_[n] += other.transitions_[n];
+    settled_changes_[n] += other.settled_changes_[n];
+  }
+  cycles_ += other.cycles_;
+}
+
 std::uint64_t ActivityStats::total_transitions() const {
   std::uint64_t total = 0;
   for (const auto t : transitions_) total += t;
@@ -215,7 +225,8 @@ std::uint64_t Simulator::drain_events() {
     const CalendarQueue::Entry e = queue_.pop();
     apply_event(e.net, e.value, queue_.time());
     if (++processed > budget)
-      throw u::Error("Simulator: event budget exceeded (oscillation?)");
+      throw EventBudgetError(
+          "Simulator: event budget exceeded (oscillation?)");
   }
   if (obs::enabled()) {
     c_events().add(processed);
@@ -271,6 +282,20 @@ void Simulator::settle() {
     h_events_per_settle().add(static_cast<double>(processed));
   }
   finish_cycle();
+}
+
+void Simulator::settle_uncounted() {
+  // Same drain, but the toggles it counts are rolled back and no cycle
+  // is closed: the settled view simply jumps to the new quiescent state.
+  const std::vector<std::uint64_t> kept = stats_.transitions_;
+  const std::uint64_t processed = drain_events();
+  stats_.transitions_ = kept;
+  cycle_transitions_ = 0;
+  if (obs::enabled()) {
+    c_settles().add(1);
+    h_events_per_settle().add(static_cast<double>(processed));
+  }
+  sync_settled();
 }
 
 void Simulator::clock_cycle() {

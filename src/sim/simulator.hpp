@@ -62,6 +62,11 @@ class ActivityStats {
 
   std::uint64_t total_transitions() const;
 
+  // Adds another run's counters (same netlist) into these: per-net
+  // transitions and settled changes, and cycles. Integer sums, so the
+  // order partial stats are added in never changes the result.
+  void add(const ActivityStats& other);
+
   // Bulk-load counters (used by the activity text format in
   // sim/activity_io.hpp to rehydrate stats recorded in a previous run).
   void set_cycles(std::uint64_t cycles) { cycles_ = cycles; }
@@ -109,6 +114,11 @@ class Simulator {
   // Propagates pending input changes to quiescence and closes out one
   // "cycle" for statistics purposes.
   void settle();
+  // Propagates to quiescence like settle() but closes no statistics
+  // cycle: no cycle, transition or settled change is counted (it still
+  // counts as a settle call in lv::obs). Primes a simulator onto the
+  // quiescent state of its present inputs.
+  void settle_uncounted();
   // One synchronous cycle: flops in enabled modules capture D, then the
   // combinational cloud settles. Counts as one cycle of statistics.
   void clock_cycle();
@@ -129,6 +139,9 @@ class Simulator {
 
   // ---- statistics ----
   const ActivityStats& stats() const { return stats_; }
+  // Adds counters gathered elsewhere (e.g. on copies of this simulator)
+  // into stats().
+  void add_stats(const ActivityStats& other) { stats_.add(other); }
   void clear_stats();
 
  private:

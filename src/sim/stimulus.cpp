@@ -1,7 +1,11 @@
 #include "sim/stimulus.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <mutex>
+#include <optional>
 
+#include "exec/parallel.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 
@@ -70,17 +74,83 @@ std::vector<std::uint64_t> random_walk_vectors(std::size_t count, int bits,
   return out;
 }
 
+namespace {
+
+// Counted settles per slice at the kernel's lane width (stimulus.hpp).
+constexpr std::size_t kSliceSettles = 16;
+
+// Runs run_slice(sim, begin, end) over contiguous slices of `len`
+// vectors covering [0, n). The last slice runs on the caller's
+// simulator, so it ends where a serial replay ends; every other slice
+// runs in an exec task on a worker-local copy of a snapshot taken before
+// any slice runs, and the copies' stats are added into the caller's
+// afterwards. Slice geometry depends on n alone, so the work (and every
+// Stability::exact counter) is the same at any thread width.
+template <class Sim, class RunSlice>
+void run_sliced(Sim& sim, std::size_t n, std::size_t len,
+                const RunSlice& run_slice) {
+  if (n == 0) return;
+  const std::size_t slices = (n + len - 1) / len;
+  if (slices == 1) {
+    run_slice(sim, 0, n);
+    return;
+  }
+  Sim snapshot = sim;
+  snapshot.clear_stats();
+  const std::size_t nets = snapshot.netlist().net_count();
+  struct Worker {
+    std::optional<Sim> sim;
+    ActivityStats stats;
+  };
+  std::mutex mu;
+  std::deque<Worker> workers;  // one per participating exec worker
+  exec::parallel_map_stateful<char>(
+      slices,
+      [&] {
+        const std::lock_guard<std::mutex> lock{mu};
+        return &workers.emplace_back(Worker{std::nullopt, ActivityStats{nets}});
+      },
+      [&](Worker* w, std::size_t s) {
+        const std::size_t begin = s * len;
+        const std::size_t end = std::min(begin + len, n);
+        if (s + 1 == slices) {
+          run_slice(sim, begin, end);
+          return char{0};
+        }
+        if (w->sim)
+          *w->sim = snapshot;
+        else
+          w->sim.emplace(snapshot);
+        run_slice(*w->sim, begin, end);
+        w->stats.add(w->sim->stats());
+        return char{0};
+      });
+  for (const Worker& w : workers) sim.add_stats(w.stats);
+}
+
+}  // namespace
+
 void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
                               const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,
                               const std::vector<std::uint64_t>& b_vectors) {
   u::require(a_vectors.size() == b_vectors.size(),
              "run_two_operand_workload: vector count mismatch");
-  for (std::size_t i = 0; i < a_vectors.size(); ++i) {
-    sim.set_bus(a, a_vectors[i]);
-    sim.set_bus(b, b_vectors[i]);
-    sim.settle();
-  }
+  run_sliced(sim, a_vectors.size(), kSliceSettles,
+             [&](Simulator& s, std::size_t begin, std::size_t end) {
+               // Seat the simulator on the state a serial replay has
+               // after vector begin - 1 (stimulus.hpp).
+               if (begin > 0) {
+                 s.set_bus(a, a_vectors[begin - 1]);
+                 s.set_bus(b, b_vectors[begin - 1]);
+                 s.settle_uncounted();
+               }
+               for (std::size_t i = begin; i < end; ++i) {
+                 s.set_bus(a, a_vectors[i]);
+                 s.set_bus(b, b_vectors[i]);
+                 s.settle();
+               }
+             });
 }
 
 void run_two_operand_workload(BitParallelSimulator& sim,
@@ -89,56 +159,56 @@ void run_two_operand_workload(BitParallelSimulator& sim,
                               const std::vector<std::uint64_t>& b_vectors) {
   u::require(a_vectors.size() == b_vectors.size(),
              "run_two_operand_workload: vector count mismatch");
-  const std::size_t n = a_vectors.size();
-  if (n == 0) return;
-  // Lane L owns vectors [L*k, min((L+1)*k, n)).
-  const std::size_t k = (n + kLaneCount - 1) / kLaneCount;
-  const std::size_t lanes = (n + k - 1) / k;
-  // Priming settle, excluded from accounting via an empty active-lane
-  // mask: lane L >= 1 presents its predecessor vector (the last one of
-  // lane L-1's chunk) while lane 0 keeps its present input value — the
-  // same state a serial replay would start from (X on a fresh simulator,
-  // the pre-settled inputs if the caller primed and cleared stats). A
-  // combinational netlist's settled state is a function of its inputs
-  // alone, so after priming every *counted* settle reproduces exactly
-  // the (previous vector, next vector) pair a serial scalar replay would
-  // present, and the aggregate ActivityStats equal the scalar run's bit
-  // for bit (pinned by sim_bitparallel_test.cpp).
-  const auto prime_bus = [&](const circuit::Bus& bus,
-                             const std::vector<std::uint64_t>& v) {
-    for (std::size_t j = 0; j < bus.size(); ++j) {
-      LogicW w{0, 0};
-      w = with_lane(w, 0, lane_of(sim.value(bus[j]), 0));
-      for (std::size_t lane = 1; lane < lanes; ++lane)
-        w = with_lane(w, static_cast<unsigned>(lane),
-                      circuit::from_bool((v[lane * k - 1] >> j) & 1));
-      sim.set_input(bus[j], w);
+  const auto run_slice = [&](BitParallelSimulator& s, std::size_t begin,
+                             std::size_t end) {
+    // Lane L owns vectors [begin + L*k, min(begin + (L+1)*k, end)).
+    const std::size_t m = end - begin;
+    const std::size_t k = (m + kLaneCount - 1) / kLaneCount;
+    const std::size_t lanes = (m + k - 1) / k;
+    // Priming settle, uncounted via an empty active-lane mask: every lane
+    // presents the predecessor of its first vector — vector i - 1, or
+    // for i == 0 the present input value, which is what a serial replay
+    // starts from.
+    const auto prime_bus = [&](const circuit::Bus& bus,
+                               const std::vector<std::uint64_t>& v) {
+      for (std::size_t j = 0; j < bus.size(); ++j) {
+        LogicW w{0, 0};
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          const std::size_t first = begin + lane * k;
+          w = with_lane(w, static_cast<unsigned>(lane),
+                        first == 0
+                            ? lane_of(s.value(bus[j]), 0)
+                            : circuit::from_bool((v[first - 1] >> j) & 1));
+        }
+        s.set_input(bus[j], w);
+      }
+    };
+    s.set_active_lanes(0);
+    prime_bus(a, a_vectors);
+    prime_bus(b, b_vectors);
+    s.settle();
+    std::vector<std::uint64_t> a_lane(lanes), b_lane(lanes);
+    for (std::size_t step = 0; step < k; ++step) {
+      std::uint64_t active = 0;
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::size_t first = begin + lane * k;
+        const std::size_t last = std::min(first + k, end) - 1;
+        const std::size_t i = first + step;
+        if (i <= last) active |= std::uint64_t{1} << lane;
+        // Exhausted lanes re-drive their final vector: no events, and the
+        // active mask keeps them out of the statistics.
+        const std::size_t idx = std::min(i, last);
+        a_lane[lane] = a_vectors[idx];
+        b_lane[lane] = b_vectors[idx];
+      }
+      s.set_active_lanes(active);
+      s.set_bus(a, a_lane);
+      s.set_bus(b, b_lane);
+      s.settle();
     }
+    s.set_active_lanes(kAllLanes);
   };
-  sim.set_active_lanes(0);
-  prime_bus(a, a_vectors);
-  prime_bus(b, b_vectors);
-  sim.settle();
-  std::vector<std::uint64_t> a_lane(lanes), b_lane(lanes);
-  for (std::size_t step = 0; step < k; ++step) {
-    std::uint64_t active = 0;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const std::size_t begin = lane * k;
-      const std::size_t last = std::min(begin + k, n) - 1;
-      const std::size_t i = begin + step;
-      if (i <= last) active |= std::uint64_t{1} << lane;
-      // Exhausted lanes re-drive their final vector: no events, and the
-      // active mask keeps them out of the statistics.
-      const std::size_t idx = std::min(i, last);
-      a_lane[lane] = a_vectors[idx];
-      b_lane[lane] = b_vectors[idx];
-    }
-    sim.set_active_lanes(active);
-    sim.set_bus(a, a_lane);
-    sim.set_bus(b, b_lane);
-    sim.settle();
-  }
-  sim.set_active_lanes(kAllLanes);
+  run_sliced(sim, a_vectors.size(), kSliceSettles * kLaneCount, run_slice);
 }
 
 lv::util::Histogram activity_histogram(const circuit::Netlist& netlist,

@@ -35,25 +35,55 @@ std::vector<std::uint64_t> random_walk_vectors(std::size_t count, int bits,
                                                std::uint64_t step,
                                                std::uint64_t seed);
 
-// Applies (a, b) vector pairs to two buses, settling after each pair.
-// Vectors must have equal length.
+// Activity replay of (a, b) vector pairs on two buses: the aggregate
+// ActivityStats equal those of the serial loop
+//
+//   for (i) { set_bus(a, a[i]); set_bus(b, b[i]); settle(); }
+//
+// bit for bit (pinned by sim_activity_test.cpp and
+// sim_bitparallel_test.cpp). Vectors must have equal length.
+//
+// Slices. The N vectors split into contiguous slices of 16 counted
+// settles at the kernel's lane width: 16 vectors for the scalar kernel,
+// 64 x 16 = 1024 for the word kernel. The last slice runs on `sim`, so
+// `sim` ends in the state a serial replay ends in; the other slices run
+// as lv::exec tasks, each on a worker-local copy of a snapshot of `sim`
+// taken before any slice runs (flop state, SimConfig, options and clock
+// enables travel with the copy), and their stats are added into
+// sim.stats() afterwards. At most one copy per exec worker is alive,
+// plus the snapshot. The geometry depends on N only, never on the thread
+// width, so the work done — and every Stability::exact lv::obs counter —
+// is width-invariant. Nested calls (from inside an exec task, e.g. a
+// server worker) run the slices serially on the calling thread.
+//
+// Priming. Every slice starts from the snapshot state, not from where a
+// serial replay would be, so before slice s >= 1 counts anything it runs
+// one uncounted settle on vector s*len - 1. settle() never clocks, so
+// the flops hold their state, and the settled state of the logic is a
+// function of its inputs and that held flop state alone. After the
+// priming settle the simulator therefore holds exactly the state a
+// serial replay has after vector s*len - 1, and every counted settle
+// presents the same (previous, next) vector pair the serial loop would.
+// The price is one extra settle per slice; lv::obs counts it under
+// sim.settle_calls / sim.events_processed (or their sim.word_* twins),
+// never under transitions, settled changes or cycles.
 void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
                               const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,
                               const std::vector<std::uint64_t>& b_vectors);
 
-// Lane-chunked bit-parallel replay of the same workload: lane L carries
-// the contiguous subsequence [L*K, min((L+1)*K, N)) of the vector pairs
-// (K = ceil(N/64)), so one word-kernel pass of K settles covers all N
-// vectors. Lanes whose subsequence has run out re-drive their last value
-// and are dropped from the active-lane mask, so the aggregate
-// ActivityStats counts exactly N lane-cycles. An uncounted priming
-// settle seats every lane on its predecessor vector (lane 0 on the
-// initial X state) first; because a combinational netlist's settled
-// state depends only on its inputs, the counted settles then reproduce
-// exactly the vector pairs of a serial replay and the aggregate
-// ActivityStats equal a scalar Simulator run's bit for bit. Requires a
-// combinational netlist (the chunks have no shared flop history).
+// Word-kernel replay of the same workload. Within a slice of m vectors,
+// lane L carries the contiguous subsequence [L*k, min((L+1)*k, m)) of
+// the slice (k = ceil(m/64)), so one pass of k settles covers the slice.
+// Lanes whose subsequence has run out re-drive their last value and are
+// dropped from the active-lane mask, so the aggregate ActivityStats
+// count exactly N lane-cycles. The slice's priming settle (empty
+// active-lane mask) seats every lane on the predecessor of its first
+// vector — vector i - 1, or for i = 0 the present value of lane 0 (X on
+// a fresh simulator, the pre-settled inputs if the caller primed and
+// cleared stats). The argument above then applies lane by lane. Per-lane
+// counters (Options::per_lane_stats) cover the last slice only, and the
+// lanes end on their own last vectors (not on vector N - 1).
 void run_two_operand_workload(BitParallelSimulator& sim,
                               const circuit::Bus& a, const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,

@@ -6,6 +6,7 @@
 #include "check/codes.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "sim/sim_graph.hpp"
 #include "util/failpoint.hpp"
 
 namespace lv::svc {
@@ -39,12 +40,24 @@ Response input_error_response(const std::string& op,
   return r;
 }
 
-Response internal_error_response(const std::string& op,
-                                 const std::string& what) {
-  // Exception containment: any non-InputError escaping a handler is an
-  // internal fault, reported as a coded exit-1 diagnostic. In server
-  // mode this is what keeps a throwing handler from taking a worker (and
-  // with it the process) down.
+Response exception_response(const std::string& op,
+                            std::exception_ptr error) {
+  std::string what;
+  try {
+    std::rethrow_exception(error);
+  } catch (const check::InputError& e) {
+    // Bad input (malformed file, unparseable option, missing path).
+    return input_error_response(op, e);
+  } catch (const sim::EventBudgetError& e) {
+    return input_error_response(
+        op, check::InputError{check::codes::sim_event_budget, e.what()});
+  } catch (const std::exception& e) {
+    what = e.what();
+  } catch (...) {
+    what = "non-standard exception";
+  }
+  // Any other exception is an internal fault, reported as a coded exit-1
+  // diagnostic.
   Response r;
   r.exit_code = 1;
   check::Diag diag{check::Severity::error, check::codes::svc_internal,
@@ -86,14 +99,8 @@ Response run_request(ServiceContext& ctx, const Request& request) {
     }
     attach_run_report(r, request);
     return r;
-  } catch (const check::InputError& e) {
-    // Bad input (malformed file, unparseable option, missing path):
-    // coded diagnostic, exit 2 — distinct from internal errors below.
-    return input_error_response(request.op, e);
-  } catch (const std::exception& e) {
-    return internal_error_response(request.op, e.what());
   } catch (...) {
-    return internal_error_response(request.op, "non-standard exception");
+    return exception_response(request.op, std::current_exception());
   }
 }
 

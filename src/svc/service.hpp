@@ -15,6 +15,9 @@
 // produce a diagnostic response, not a dead worker.
 #pragma once
 
+#include <exception>
+#include <string>
+
 #include "svc/handlers.hpp"
 #include "svc/request.hpp"
 
@@ -35,10 +38,13 @@ void attach_run_report(Response& response, const Request& request);
 Response input_error_response(const std::string& op,
                               const check::InputError& error);
 
-// Maps an escaped non-input exception to the contained svc.internal
-// Response (exit 1, coded diagnostic). One throwing handler costs the
-// caller one coded response, never the server process.
-Response internal_error_response(const std::string& op,
-                                 const std::string& what);
+// Maps any exception escaping a handler to its Response:
+//   check::InputError      -> exit 2, the error's own code
+//   sim::EventBudgetError  -> exit 2, sim.event_budget (a settle ran
+//                             past SimConfig::max_events_per_settle)
+//   anything else          -> exit 1, svc.internal (contained, so one
+//                             throwing handler costs the caller one
+//                             coded response, never the server process)
+Response exception_response(const std::string& op, std::exception_ptr error);
 
 }  // namespace lv::svc

@@ -322,6 +322,35 @@ TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
   EXPECT_GT(o::Registry::global().timer("sim.graph_compile_ns").calls(), 0u);
 }
 
+TEST_F(Obs, WorkloadRunnerCountersAreWidthInvariant) {
+  // Both activity-replay runners slice their vectors by count alone
+  // (16 vectors per scalar slice, 1024 per word slice) and prime every
+  // copied slice from the same snapshot, so the work — settles, events,
+  // transitions, exec items — is identical at every width. 200 scalar
+  // vectors make 13 slices and 2100 word vectors make 3.
+  lv::circuit::Netlist nl;
+  const auto ports = lv::circuit::build_array_multiplier(nl, 4);
+  const auto a = lv::sim::random_vectors(2100, 4, 13);
+  const auto b = lv::sim::random_vectors(2100, 4, 14);
+  const std::vector<std::uint64_t> a_short(a.begin(), a.begin() + 200);
+  const std::vector<std::uint64_t> b_short(b.begin(), b.begin() + 200);
+  expect_deterministic_report([&] {
+    lv::sim::Simulator scalar{nl};
+    lv::sim::run_two_operand_workload(scalar, ports.a, ports.b, a_short,
+                                      b_short);
+    lv::sim::BitParallelSimulator word{nl};
+    lv::sim::run_two_operand_workload(word, ports.a, ports.b, a, b);
+  });
+
+  const o::RunReport r = o::Registry::global().report();
+  // Priming settles are settle calls (12 scalar, 3 word) but close no
+  // statistics cycle.
+  EXPECT_EQ(r.counters.at("sim.settle_calls"), 200u + 12u);
+  EXPECT_EQ(r.counters.at("sim.cycles"), 200u);
+  EXPECT_EQ(r.counters.at("sim.word_settle_calls"), 16u + 16u + 1u + 3u);
+  EXPECT_EQ(r.counters.at("sim.word_lane_cycles"), 2100u);
+}
+
 TEST_F(Obs, WordKernelCountersArePresentAndWidthInvariant) {
   // Same contract for the bit-parallel kernel's "sim.word_*" family: all
   // Stability::exact (the batch fold is serial in fault order and each

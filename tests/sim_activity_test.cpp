@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/generators.hpp"
+#include "exec/thread_pool.hpp"
+#include "sim/bp_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
 
@@ -25,7 +29,128 @@ struct AdderRig {
   }
 };
 
+// The loop the sliced workload runner must reproduce exactly.
+void serial_replay(s::Simulator& sim, const c::Bus& a, const c::Bus& b,
+                   const std::vector<std::uint64_t>& av,
+                   const std::vector<std::uint64_t>& bv) {
+  for (std::size_t i = 0; i < av.size(); ++i) {
+    sim.set_bus(a, av[i]);
+    sim.set_bus(b, bv[i]);
+    sim.settle();
+  }
+}
+
+void expect_same_stats(const s::ActivityStats& got,
+                       const s::ActivityStats& want, std::size_t nets,
+                       const std::string& label) {
+  ASSERT_EQ(got.cycles(), want.cycles()) << label;
+  for (c::NetId n = 0; n < nets; ++n) {
+    ASSERT_EQ(got.transitions(n), want.transitions(n))
+        << label << " net " << n;
+    ASSERT_EQ(got.settled_changes(n), want.settled_changes(n))
+        << label << " net " << n;
+  }
+}
+
 }  // namespace
+
+TEST(Stimulus, SlicedScalarReplayMatchesSerialLoopExactly) {
+  // Slices of 16 vectors run on copies of a snapshot, primed on their
+  // predecessor vector; stats and the final state must equal the serial
+  // loop's bit for bit at any exec width, on a ragged tail (17, 1000),
+  // a single slice (1, 16) and a glitch-heavy multiplier.
+  c::Netlist adder_nl;
+  const auto adder = c::build_ripple_carry_adder(adder_nl, 8);
+  c::Netlist mul_nl;
+  const auto mul = c::build_array_multiplier(mul_nl, 8);
+  struct Case {
+    const c::Netlist* nl;
+    c::Bus a, b;
+    const char* name;
+  };
+  for (const Case& cs : {Case{&adder_nl, adder.a, adder.b, "rca8"},
+                         Case{&mul_nl, mul.a, mul.b, "mul8"}}) {
+    for (const std::size_t n : {std::size_t{1}, std::size_t{16},
+                                std::size_t{17}, std::size_t{1000}}) {
+      const auto a = s::random_vectors(n, 8, 51);
+      const auto b = s::random_vectors(n, 8, 52);
+      s::Simulator ref{*cs.nl};
+      serial_replay(ref, cs.a, cs.b, a, b);
+      for (const std::size_t width : {1u, 2u, 8u}) {
+        lv::exec::set_thread_count(width);
+        s::Simulator sim{*cs.nl};
+        s::run_two_operand_workload(sim, cs.a, cs.b, a, b);
+        const std::string label = std::string{cs.name} + " n=" +
+                                  std::to_string(n) + " width=" +
+                                  std::to_string(width);
+        expect_same_stats(sim.stats(), ref.stats(), cs.nl->net_count(), label);
+        for (c::NetId net = 0; net < cs.nl->net_count(); ++net)
+          ASSERT_EQ(sim.value(net), ref.value(net)) << label;
+      }
+    }
+  }
+  lv::exec::set_thread_count(0);
+}
+
+TEST(Stimulus, SlicedReplayHoldsPrimedFlopState) {
+  // Sequential netlist: an 8-bit register whose Q feeds one adder operand
+  // while its D bus (also the other operand) is the stimulus. The caller
+  // resets the flops, then clocks a non-zero value in; settle() never
+  // clocks, so every slice copy must carry that held state, and both
+  // kernels must still reproduce the serial scalar loop exactly.
+  c::Netlist nl;
+  const auto reg = c::build_register_bank(nl, c::CellKind::dff, 8);
+  c::build_ripple_carry_adder(nl, 8, "adder", reg.d, reg.q);
+  const c::Bus none;
+  const auto d = s::random_vectors(2100, 8, 61);
+  const std::vector<std::uint64_t> zeros(d.size(), 0);
+  const auto prime = [&](auto& sim, auto&& set_d) {
+    sim.reset_flops(c::Logic::one);
+    set_d(0x5a);
+    sim.settle();
+    sim.clock_cycle();
+    sim.clear_stats();
+  };
+  s::Simulator ref{nl};
+  prime(ref, [&](std::uint64_t v) { ref.set_bus(reg.d, v); });
+  serial_replay(ref, reg.d, none, d, zeros);
+  std::uint64_t held = 0;
+  ASSERT_TRUE(ref.read_bus(reg.q, held));
+  ASSERT_EQ(held, 0x5au);
+  for (const std::size_t width : {1u, 2u, 8u}) {
+    lv::exec::set_thread_count(width);
+    const std::string label = "width=" + std::to_string(width);
+    s::Simulator scalar{nl};
+    prime(scalar, [&](std::uint64_t v) { scalar.set_bus(reg.d, v); });
+    s::run_two_operand_workload(scalar, reg.d, none, d, zeros);
+    expect_same_stats(scalar.stats(), ref.stats(), nl.net_count(),
+                      "scalar " + label);
+    s::BitParallelSimulator word{nl};
+    prime(word, [&](std::uint64_t v) { word.set_bus_broadcast(reg.d, v); });
+    s::run_two_operand_workload(word, reg.d, none, d, zeros);
+    expect_same_stats(word.stats(), ref.stats(), nl.net_count(),
+                      "word " + label);
+  }
+  lv::exec::set_thread_count(0);
+}
+
+TEST(Stimulus, UncountedSettleCountsNothing) {
+  AdderRig rig{8};
+  rig.sim.set_bus(rig.ports.a, 0xff);
+  rig.sim.set_bus(rig.ports.b, 0x01);
+  rig.sim.settle_uncounted();
+  EXPECT_EQ(rig.sim.stats().cycles(), 0u);
+  EXPECT_EQ(rig.sim.stats().total_transitions(), 0u);
+  std::uint64_t sum = 0;
+  ASSERT_TRUE(rig.sim.read_bus(rig.ports.sum, sum));
+  EXPECT_EQ(sum, 0u);  // 0xff + 0x01 = 0x100, carry out
+  // The next counted settle compares against the primed state, not the
+  // one before it.
+  rig.sim.set_bus(rig.ports.b, 0x02);
+  rig.sim.settle();
+  EXPECT_EQ(rig.sim.stats().cycles(), 1u);
+  EXPECT_EQ(rig.sim.stats().settled_changes(rig.ports.sum[0]), 1u);
+}
 
 TEST(Stimulus, GeneratorsShapeAndDeterminism) {
   const auto r1 = s::random_vectors(100, 8, 7);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -381,34 +382,117 @@ TEST(SimBitParallel, ActiveLaneMaskGatesAccountingOnly) {
 }
 
 TEST(SimBitParallel, LaneChunkedWorkloadMatchesScalarReplayExactly) {
-  // The lane-chunked workload runner primes every lane on its
-  // predecessor vector, so the aggregate ActivityStats must equal a
-  // serial scalar replay *bit for bit* — per-net transitions, settled
-  // changes, cycle count, and therefore mean alpha and the Fig. 8
-  // histogram — at vector counts that exercise chunk length 1, a ragged
-  // tail, and long chunks.
-  c::Netlist nl;
-  const auto ports = c::build_ripple_carry_adder(nl, 8);
-  for (const std::size_t n :
-       {std::size_t{64}, std::size_t{100}, std::size_t{1000}}) {
-    const auto a = s::random_vectors(n, 8, 41);
-    const auto b = s::random_vectors(n, 8, 42);
-    s::BitParallelSimulator word{nl};
-    s::run_two_operand_workload(word, ports.a, ports.b, a, b);
-    s::Simulator scalar{nl};
-    s::run_two_operand_workload(scalar, ports.a, ports.b, a, b);
-    ASSERT_EQ(word.stats().cycles(), n);
-    ASSERT_EQ(scalar.stats().cycles(), n);
-    for (c::NetId net = 0; net < nl.net_count(); ++net) {
-      ASSERT_EQ(word.stats().transitions(net), scalar.stats().transitions(net))
-          << "net '" << nl.net(net).name << "' n = " << n;
-      ASSERT_EQ(word.stats().settled_changes(net),
-                scalar.stats().settled_changes(net))
-          << "net '" << nl.net(net).name << "' n = " << n;
+  // The workload runner splits the vectors into slices of 1024 (64 lanes
+  // x 16 settles), runs slices >= 1 on snapshot copies across exec
+  // workers, and primes every lane on its predecessor vector, so the
+  // aggregate ActivityStats must equal a hand-written serial scalar loop
+  // *bit for bit* — per-net transitions, settled changes, cycle count,
+  // and therefore mean alpha and the Fig. 8 histogram. The vector counts
+  // cover one vector, chunk length 1, a ragged tail, one full slice, one
+  // vector past it, and two slices; the widths cover the serial path
+  // and more workers than slices.
+  c::Netlist adder_nl;
+  const auto adder = c::build_ripple_carry_adder(adder_nl, 8);
+  c::Netlist mul_nl;
+  const auto mul = c::build_array_multiplier(mul_nl, 8);
+  struct Case {
+    const c::Netlist* nl;
+    c::Bus a, b;
+    const char* name;
+  };
+  for (const Case& cs : {Case{&adder_nl, adder.a, adder.b, "rca8"},
+                         Case{&mul_nl, mul.a, mul.b, "mul8"}}) {
+    for (const std::size_t n :
+         {std::size_t{1}, std::size_t{64}, std::size_t{100},
+          std::size_t{1000}, std::size_t{1024}, std::size_t{1025},
+          std::size_t{2000}}) {
+      const auto a = s::random_vectors(n, 8, 41);
+      const auto b = s::random_vectors(n, 8, 42);
+      s::Simulator scalar{*cs.nl};
+      for (std::size_t i = 0; i < n; ++i) {
+        scalar.set_bus(cs.a, a[i]);
+        scalar.set_bus(cs.b, b[i]);
+        scalar.settle();
+      }
+      ASSERT_EQ(scalar.stats().cycles(), n);
+      for (const std::size_t width : {1u, 2u, 8u}) {
+        lv::exec::set_thread_count(width);
+        s::BitParallelSimulator word{*cs.nl};
+        s::run_two_operand_workload(word, cs.a, cs.b, a, b);
+        ASSERT_EQ(word.stats().cycles(), n);
+        for (c::NetId net = 0; net < cs.nl->net_count(); ++net) {
+          ASSERT_EQ(word.stats().transitions(net),
+                    scalar.stats().transitions(net))
+              << cs.name << " net '" << cs.nl->net(net).name << "' n = " << n
+              << " width " << width;
+          ASSERT_EQ(word.stats().settled_changes(net),
+                    scalar.stats().settled_changes(net))
+              << cs.name << " net '" << cs.nl->net(net).name << "' n = " << n
+              << " width " << width;
+        }
+        if (n > 1) {
+          EXPECT_GT(s::mean_alpha(word), 0.0);
+        }
+        EXPECT_EQ(s::mean_alpha(word), s::mean_alpha(scalar));
+      }
     }
-    EXPECT_GT(s::mean_alpha(word), 0.0);
-    EXPECT_EQ(s::mean_alpha(word), s::mean_alpha(scalar));
   }
+  lv::exec::set_thread_count(0);
+}
+
+TEST(SimBitParallel, CopiedLutFallbackSimulatorOutlivesItsSource) {
+  // Copies of a force_lut_fallback simulator (copy-constructed and
+  // copy-assigned) must keep a valid word plan after the source is gone;
+  // under ASan a plan pointer into the source's storage fails here.
+  c::Netlist nl;
+  const auto ports = c::build_array_multiplier(nl, 4);
+  const auto a = random_lane_streams(s::kLaneCount, 12, 4, 7100);
+  const auto b = random_lane_streams(s::kLaneCount, 12, 4, 7200);
+  const s::BitParallelSimulator::Options fallback{.force_lut_fallback = true};
+  s::BitParallelSimulator ref{nl, {}, fallback};
+  auto source = std::make_unique<s::BitParallelSimulator>(
+      nl, s::SimConfig{}, fallback);
+  const auto step = [&](s::BitParallelSimulator& sim, std::size_t i) {
+    sim.set_bus(ports.a, step_values(a, i));
+    sim.set_bus(ports.b, step_values(b, i));
+    sim.settle();
+  };
+  for (std::size_t i = 0; i < 4; ++i) {
+    step(ref, i);
+    step(*source, i);
+  }
+  s::BitParallelSimulator copy = *source;
+  s::BitParallelSimulator assigned{nl};
+  assigned = *source;
+  source.reset();
+  for (std::size_t i = 4; i < 12; ++i) {
+    step(ref, i);
+    step(copy, i);
+    step(assigned, i);
+  }
+  for (const auto* sim : {&copy, &assigned}) {
+    EXPECT_EQ(sim->stats().cycles(), ref.stats().cycles());
+    for (c::NetId n = 0; n < nl.net_count(); ++n) {
+      ASSERT_EQ(sim->value(n), ref.value(n)) << nl.net(n).name;
+      ASSERT_EQ(sim->stats().transitions(n), ref.stats().transitions(n))
+          << nl.net(n).name;
+    }
+  }
+}
+
+TEST(SimBitParallel, EventBudgetIsATypedError) {
+  c::Netlist nl;
+  const auto ports = c::build_array_multiplier(nl, 4);
+  s::SimConfig config;
+  config.max_events_per_settle = 8;
+  s::BitParallelSimulator word{nl, config};
+  word.set_bus_broadcast(ports.a, 0xf);
+  word.set_bus_broadcast(ports.b, 0xf);
+  EXPECT_THROW(word.settle(), s::EventBudgetError);
+  s::Simulator scalar{nl, config};
+  scalar.set_bus(ports.a, 0xf);
+  scalar.set_bus(ports.b, 0xf);
+  EXPECT_THROW(scalar.settle(), s::EventBudgetError);
 }
 
 TEST(SimBitParallel, RejectsBadLaneAndBusUsage) {

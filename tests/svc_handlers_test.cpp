@@ -3,12 +3,15 @@
 // RunReport emission path.
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <string>
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
+#include "circuit/generators.hpp"
+#include "sim/simulator.hpp"
 #include "svc/handlers.hpp"
 #include "svc/service.hpp"
 #include "svc/session.hpp"
@@ -185,4 +188,44 @@ TEST(SvcHandlers, RunRequestNeverThrows) {
         {{"netlist", kAndNetlist}});
     run(session, "profile", {"no-such-workload"});
   });
+}
+
+TEST(SvcHandlers, EventBudgetIsCodedExitTwo) {
+  // A settle that runs past SimConfig::max_events_per_settle is reported
+  // as the coded sim.event_budget input error, not as svc.internal.
+  lv::circuit::Netlist nl;
+  const auto ports = lv::circuit::build_array_multiplier(nl, 4);
+  lv::sim::SimConfig config;
+  config.max_events_per_settle = 8;
+  lv::sim::Simulator sim{nl, config};
+  sim.set_bus(ports.a, 0xf);
+  sim.set_bus(ports.b, 0xf);
+  std::exception_ptr error;
+  try {
+    sim.settle();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  ASSERT_TRUE(error);
+  const svc::Response r = svc::exception_response("simulate", error);
+  EXPECT_EQ(r.exit_code, 2);
+  EXPECT_NE(r.err.find(chk::codes::sim_event_budget), std::string::npos);
+  EXPECT_NE(r.err.find("event budget exceeded"), std::string::npos);
+  EXPECT_NE(r.diag_json.find(chk::codes::sim_event_budget), std::string::npos);
+}
+
+TEST(SvcHandlers, OtherHandlerExceptionsStayInternal) {
+  // Plain library errors (e.g. the >64-primary-input stimulus limit) are
+  // still contained as exit-1 svc.internal.
+  const svc::Response r = svc::exception_response(
+      "simulate",
+      std::make_exception_ptr(lv::util::Error{"more than 64 primary inputs"}));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.err.find(chk::codes::svc_internal), std::string::npos);
+  EXPECT_NE(r.err.find("more than 64 primary inputs"), std::string::npos);
+  const svc::Response coded = svc::exception_response(
+      "gen", std::make_exception_ptr(
+                 chk::InputError{chk::codes::cli_option, "bad option"}));
+  EXPECT_EQ(coded.exit_code, 2);
+  EXPECT_NE(coded.err.find(chk::codes::cli_option), std::string::npos);
 }

@@ -212,8 +212,8 @@ void usage() {
       "tech = predefined name (soi_low_vt, soias, dual_vt_mtcmos,\n"
       "bulk_cmos_06um, bulk_body_bias) or a tech-file path.\n"
       "Every command accepts --threads N (default: LVSIM_THREADS or all\n"
-      "cores); sweeps and fault campaigns fan out across N workers with\n"
-      "results identical to --threads 1.\n"
+      "cores); sweeps, fault campaigns and activity replay fan out\n"
+      "across N workers with results identical to --threads 1.\n"
       "Every command also accepts --schedule chunked|stealing (default:\n"
       "LVSIM_SCHEDULE or chunked): stealing rebalances skewed per-item\n"
       "costs across workers via lock-free deques; output is bit-identical\n"
