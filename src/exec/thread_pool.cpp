@@ -28,7 +28,8 @@ lv::obs::Timer& worker_busy_timer(std::size_t id) {
 std::size_t default_thread_count() {
   if (const char* env = std::getenv("LVSIM_THREADS")) {
     const long v = std::atol(env);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    if (v >= 1 && static_cast<unsigned long>(v) <= kMaxThreads)
+      return static_cast<std::size_t>(v);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -36,20 +37,6 @@ std::size_t default_thread_count() {
 
 // 0 = unset, resolve from the environment/hardware on first read.
 std::atomic<std::size_t> g_configured{0};
-
-Schedule default_schedule() {
-  if (const char* env = std::getenv("LVSIM_SCHEDULE")) {
-    if (const auto parsed = parse_schedule(env);
-        parsed && *parsed != Schedule::automatic) {
-      return *parsed;
-    }
-  }
-  return Schedule::chunked;
-}
-
-// automatic = unset, resolve from LVSIM_SCHEDULE/builtin on each read
-// (cheap: one relaxed load on the common explicitly-configured path).
-std::atomic<Schedule> g_schedule{Schedule::automatic};
 
 }  // namespace
 
@@ -60,34 +47,6 @@ std::size_t thread_count() {
 
 void set_thread_count(std::size_t n) {
   g_configured.store(n, std::memory_order_relaxed);
-}
-
-Schedule schedule() {
-  const Schedule configured = g_schedule.load(std::memory_order_relaxed);
-  return configured != Schedule::automatic ? configured : default_schedule();
-}
-
-void set_schedule(Schedule s) {
-  g_schedule.store(s, std::memory_order_relaxed);
-}
-
-const char* schedule_name(Schedule s) {
-  switch (s) {
-    case Schedule::chunked:
-      return "chunked";
-    case Schedule::stealing:
-      return "stealing";
-    case Schedule::automatic:
-      break;
-  }
-  return "automatic";
-}
-
-std::optional<Schedule> parse_schedule(const std::string& name) {
-  if (name == "chunked") return Schedule::chunked;
-  if (name == "stealing") return Schedule::stealing;
-  if (name == "automatic") return Schedule::automatic;
-  return std::nullopt;
 }
 
 bool on_worker_thread() { return t_on_worker; }

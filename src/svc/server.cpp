@@ -356,16 +356,13 @@ int serve(const ServerOptions& options) {
   // Banner first (the compatibility surface: protocol + kernels + build),
   // then the readiness line tooling waits for.
   std::fputs(version_text().c_str(), stdout);
-  // Note on scheduling: svc workers *are* exec pool workers, so a
-  // handler's own parallel regions run inline-serial on their worker
-  // (nested-parallelism rule) — request-level concurrency across the
-  // shared job queue is already dynamically balanced. The schedule
-  // reported here is what one-shot runs of the same binary would use.
-  std::printf("serving on %s  workers=%zu queue=%zu max_payload=%u"
-              " schedule=%s\n",
+  // svc workers *are* exec pool workers, so a handler's own parallel
+  // regions run inline-serial on their worker (nested-parallelism rule);
+  // request-level concurrency across the shared job queue is already
+  // dynamically balanced.
+  std::printf("serving on %s  workers=%zu queue=%zu max_payload=%u\n",
               options.endpoint.to_string().c_str(), server.opt_.workers,
-              server.opt_.queue_capacity, server.opt_.max_payload,
-              exec::schedule_name(exec::schedule()));
+              server.opt_.queue_capacity, server.opt_.max_payload);
   std::fflush(stdout);
 
   // The svc workers are the lv::exec pool: ThreadPool::run blocks the

@@ -30,6 +30,13 @@ expect_match("${LAST_OUT}" "0 error")
 expect_exit(2 ${LVTOOL} power ${NETLIST} soi_low_vt --vdd oops)
 expect_match("${LAST_ERR}" "cli.number")
 
+# --threads above the 256 cap is refused before any parallel region can
+# grow the pool (no thread is started for these runs).
+expect_exit(2 ${LVTOOL} faults ${NETLIST} --threads 100000)
+expect_match("${LAST_ERR}" "cli.option")
+expect_exit(2 ${LVTOOL} faults ${NETLIST} --threads 257)
+expect_match("${LAST_ERR}" "cli.option")
+
 # Unreadable file: exit 2 with io.open.
 expect_exit(2 ${LVTOOL} check ${WORK}/no_such_file.lvnet)
 expect_match("${LAST_ERR}" "io.open")

@@ -211,13 +211,10 @@ void usage() {
       "         [--retries R] [--verbose] (<subcommand> ... | --shutdown)\n"
       "tech = predefined name (soi_low_vt, soias, dual_vt_mtcmos,\n"
       "bulk_cmos_06um, bulk_body_bias) or a tech-file path.\n"
-      "Every command accepts --threads N (default: LVSIM_THREADS or all\n"
-      "cores); sweeps, fault campaigns and activity replay fan out\n"
-      "across N workers with results identical to --threads 1.\n"
-      "Every command also accepts --schedule chunked|stealing (default:\n"
-      "LVSIM_SCHEDULE or chunked): stealing rebalances skewed per-item\n"
-      "costs across workers via lock-free deques; output is bit-identical\n"
-      "under either schedule.\n"
+      "Every command accepts --threads N, at most 256 (default:\n"
+      "LVSIM_THREADS or all cores); sweeps, fault campaigns and activity\n"
+      "replay fan out across N workers with results identical to\n"
+      "--threads 1.\n"
       "Every command also accepts --stats (run-metrics summary to stdout)\n"
       "and --stats-json <file> (lv-run-report/1 JSON). The `counters`\n"
       "section is bit-identical at any --threads width.\n"
@@ -255,25 +252,16 @@ int main(int argc, char** argv) {
     const svc::Params args = svc::parse_params(argc, argv, 2);
     // Worker width for every sweep/campaign subcommand. Resolution:
     // --threads N > LVSIM_THREADS env > hardware concurrency; 1 runs the
-    // serial code path (results are identical either way).
+    // serial code path (results are identical either way). The cap is
+    // checked here, before any parallel region can grow the pool.
     if (const auto threads = args.text("--threads")) {
       const long long n = chk::require_int(*threads, "--threads");
-      if (n < 0)
+      if (n < 0 || n > static_cast<long long>(lv::exec::kMaxThreads))
         throw chk::InputError(chk::codes::cli_option,
-                              "--threads must be >= 0 (0 = default)");
+                              "--threads must be in [0, " +
+                                  std::to_string(lv::exec::kMaxThreads) +
+                                  "] (0 = default), got " + *threads);
       lv::exec::set_thread_count(static_cast<std::size_t>(n));
-    }
-    // Scheduling policy for every parallel region, mirroring --threads:
-    // --schedule > LVSIM_SCHEDULE env > chunked. Results are identical
-    // under either schedule; stealing wins wall clock on skewed work
-    // (fault campaigns, mixed-cost sweeps).
-    if (const auto sched = args.text("--schedule")) {
-      const auto parsed = lv::exec::parse_schedule(*sched);
-      if (!parsed)
-        throw chk::InputError(
-            chk::codes::cli_option,
-            "--schedule must be 'chunked', 'stealing' or 'automatic'");
-      lv::exec::set_schedule(*parsed);
     }
     configure_cache(args);
     if (cmd == "serve") return cmd_serve(args);
