@@ -8,7 +8,7 @@
 // The extraction runs twice — once through the scalar compiled kernel
 // and once through the bit-parallel (64-lane) kernel's lane-chunked
 // workload runner — and requires the two ActivityStats to agree exactly
-// (the lane-priming argument in sim/stimulus.cpp makes the chunked
+// (the seating argument in sim/stimulus.hpp makes the chunked
 // replay bit-identical to the serial one). The wall-clock ratio is the
 // measured bit-parallel speedup recorded in EXPERIMENTS.md.
 #include <chrono>

@@ -92,7 +92,7 @@ BENCHMARK(BM_AdderSimulationWord)->Arg(8)->Arg(16)->Arg(32);
 // measured kernel speedup CI gates on (tools/bench_diff.py
 // --require-speedup) — runs at width 1 to compare kernels, not thread
 // counts. The /threads:4 rows show the runner's scaling: 64 scalar
-// slices of 16 vectors, but a single 1024-vector word slice.
+// slices of 16 vectors, 16 word slices of 64.
 template <class Sim>
 void adder_workload(benchmark::State& state, std::size_t threads) {
   lv::exec::set_thread_count(threads);
@@ -134,15 +134,15 @@ void BM_AdderWorkloadWordThreads(benchmark::State& state) {
 BENCHMARK(BM_AdderWorkloadWordThreads)->ArgName("threads")->Arg(4)
     ->UseRealTime();
 
-// Glitch-heavy word-kernel replay: 2000 random vectors over an 8-bit
-// array multiplier (the `simulate mul8 --kernel word --vectors 2000`
-// job), i.e. two word slices, at widths 1 and 4.
-void BM_MultiplierWorkloadWord(benchmark::State& state) {
+// Glitch-heavy word-kernel replay at widths 1 and 4: `vectors` random
+// vectors over a `bits`-bit array multiplier.
+void multiplier_workload(benchmark::State& state, int bits,
+                         std::size_t vectors) {
   lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   lv::circuit::Netlist nl;
-  const auto ports = lv::circuit::build_array_multiplier(nl, 8);
-  const auto a = lv::sim::random_vectors(2000, 8, 23);
-  const auto b = lv::sim::random_vectors(2000, 8, 24);
+  const auto ports = lv::circuit::build_array_multiplier(nl, bits);
+  const auto a = lv::sim::random_vectors(vectors, bits, 23);
+  const auto b = lv::sim::random_vectors(vectors, bits, 24);
   lv::sim::BitParallelSimulator sim{nl};
   for (auto _ : state) {
     lv::sim::run_two_operand_workload(sim, ports.a, ports.b, a, b);
@@ -152,8 +152,22 @@ void BM_MultiplierWorkloadWord(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(a.size()));
   lv::exec::set_thread_count(0);
 }
+
+// The `simulate mul8 --kernel word --vectors 2000` job: 16 word slices
+// of 125 vectors.
+void BM_MultiplierWorkloadWord(benchmark::State& state) {
+  multiplier_workload(state, 8, 2000);
+}
 BENCHMARK(BM_MultiplierWorkloadWord)->ArgName("threads")->Arg(1)->Arg(4)
     ->UseRealTime();
+
+// A small glitch-heavy job (glitch_sim's mul12 size): 48 vectors fill
+// less than one 64-lane word, so the replay is one slice at any width.
+void BM_MultiplierWorkloadWordSmall(benchmark::State& state) {
+  multiplier_workload(state, 12, 48);
+}
+BENCHMARK(BM_MultiplierWorkloadWordSmall)->ArgName("threads")->Arg(1)
+    ->Arg(4)->UseRealTime();
 
 void BM_MachineIdeaBlock(benchmark::State& state) {
   const auto workload = lv::workloads::idea_workload(1);

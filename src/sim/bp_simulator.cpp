@@ -83,9 +83,11 @@ BitParallelSimulator::BitParallelSimulator(
       settled_(graph_->net_count()),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count()),
-      // Same pool-sizing rationale as the scalar kernel: a handful of
-      // pending events per net under the load model; words don't change
-      // the event population shape, only their payload width.
+      // Pool reserve: several events per net can be pending at once under
+      // the load-delay model (a net rescheduled from differently-delayed
+      // paths holds one node per pending time; glitchy datapaths measure
+      // ~2-3). 4x net count keeps steady state allocation-free; the pool
+      // adds blocks past it if a pathological netlist needs more.
       queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
@@ -134,12 +136,9 @@ void BitParallelSimulator::set_bus(const circuit::Bus& bus,
     throw u::Error("BitParallelSimulator: set_bus: more than 64 lane values");
   // Transpose: lane L of bus bit i <- bit i of lane_values[L]. Lanes
   // beyond the supplied span are driven to 0 (known), never left X.
-  for (std::size_t i = 0; i < bus.size(); ++i) {
-    LogicW w{0, 0};
-    for (std::size_t lane = 0; lane < lane_values.size(); ++lane)
-      if ((lane_values[lane] >> i) & 1) w.one |= (std::uint64_t{1} << lane);
-    set_input(bus[i], w);
-  }
+  for (std::size_t i = 0; i < bus.size(); ++i)
+    set_input(bus[i], lane_bits(lane_values.data(), lane_values.size(),
+                                static_cast<unsigned>(i)));
 }
 
 void BitParallelSimulator::set_bus_broadcast(const circuit::Bus& bus,
@@ -170,58 +169,61 @@ void BitParallelSimulator::schedule(NetId net, LogicW value,
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
 }
 
-void BitParallelSimulator::evaluate_instance(InstanceId id,
-                                             std::uint64_t now) {
+LogicW BitParallelSimulator::lane_output_of(InstanceId id) {
   const SimGraph::Node& node = nodes_[id];
   const NetId* ins = in_nets_ + node.in_begin;
-  LogicW out;
-  const std::uint8_t op = word_ops_[id];
-  if (op < static_cast<std::uint8_t>(CellKind::kind_count)) {
-    // Verified direct word operator: one bitwise evaluation covers all
-    // 64 lanes.
-    LogicW in[SimGraph::kMaxLutInputs];
-    for (unsigned k = 0; k < node.in_count; ++k) in[k] = values_[ins[k]];
-    out = word_evaluate_direct(static_cast<CellKind>(op), in);
-    ++direct_evals_;
-  } else if (node.lut != SimGraph::kNoLut) {
-    // Per-lane LUT fallback: same 256-entry tables as the scalar kernel,
-    // indexed lane by lane.
-    const SimGraph::Lut& lut = luts_[node.lut];
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = LogicW{0, 0};
-    for (unsigned lane = 0; lane < kLaneCount; ++lane) {
+  for (unsigned k = 0; k < node.in_count; ++k)
+    eval_scratch_[k] = values_[ins[k]];
+  LogicW out{0, 0};
+  for (unsigned lane = 0; lane < kLaneCount; ++lane) {
+    Logic v;
+    if (node.lut != SimGraph::kNoLut) {
+      // Per-lane LUT fallback: same 256-entry tables as the scalar
+      // kernel, indexed lane by lane.
       unsigned idx = 0;
       for (unsigned k = 0; k < node.in_count; ++k)
         idx |= static_cast<unsigned>(lane_of(eval_scratch_[k], lane))
                << (2u * k);
-      const Logic v = lut[idx];
-      const std::uint64_t bit = std::uint64_t{1} << lane;
-      if (v == Logic::one)
-        out.one |= bit;
-      else if (v == Logic::x)
-        out.x |= bit;
-    }
-    lut_lane_evals_ += kLaneCount;
-  } else {
-    // Generic wide cell: per-lane circuit::evaluate_cell.
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = LogicW{0, 0};
-    for (unsigned lane = 0; lane < kLaneCount; ++lane) {
+      v = luts_[node.lut][idx];
+    } else {
+      // Generic wide cell: per-lane circuit::evaluate_cell.
       for (unsigned k = 0; k < node.in_count; ++k)
         lane_scratch_[k] = lane_of(eval_scratch_[k], lane);
-      const Logic v = circuit::evaluate_cell(
-          static_cast<CellKind>(node.kind),
-          {lane_scratch_.data(), node.in_count});
-      const std::uint64_t bit = std::uint64_t{1} << lane;
-      if (v == Logic::one)
-        out.one |= bit;
-      else if (v == Logic::x)
-        out.x |= bit;
+      v = circuit::evaluate_cell(static_cast<CellKind>(node.kind),
+                                 {lane_scratch_.data(), node.in_count});
     }
-    generic_lane_evals_ += kLaneCount;
+    const std::uint64_t bit = std::uint64_t{1} << lane;
+    if (v == Logic::one)
+      out.one |= bit;
+    else if (v == Logic::x)
+      out.x |= bit;
   }
+  return out;
+}
+
+inline LogicW BitParallelSimulator::output_of(InstanceId id) {
+  const std::uint8_t op = word_ops_[id];
+  if (op >= static_cast<std::uint8_t>(CellKind::kind_count))
+    return lane_output_of(id);
+  // Verified direct word operator: one bitwise evaluation covers all 64
+  // lanes.
+  const SimGraph::Node& node = nodes_[id];
+  const NetId* ins = in_nets_ + node.in_begin;
+  LogicW in[SimGraph::kMaxLutInputs];
+  for (unsigned k = 0; k < node.in_count; ++k) in[k] = values_[ins[k]];
+  return word_evaluate_direct(static_cast<CellKind>(op), in);
+}
+
+void BitParallelSimulator::evaluate_instance(InstanceId id,
+                                             std::uint64_t now) {
+  const LogicW out = output_of(id);
+  const SimGraph::Node& node = nodes_[id];
+  if (word_ops_[id] < static_cast<std::uint8_t>(CellKind::kind_count))
+    ++direct_evals_;
+  else if (node.lut != SimGraph::kNoLut)
+    lut_lane_evals_ += kLaneCount;
+  else
+    generic_lane_evals_ += kLaneCount;
   if (out == scheduled_[node.output]) return;
   schedule(node.output, out, now + delay_[id]);
 }
@@ -340,6 +342,17 @@ void BitParallelSimulator::settle() {
   drain_events();
   if (obs::enabled()) c_settles().add(1);
   finish_cycle();
+}
+
+void BitParallelSimulator::seat() {
+  while (!queue_.empty()) {
+    const WordEvent e = queue_.pop();
+    values_[e.net] = e.value;
+  }
+  for (const InstanceId id : graph_->comb_order())
+    values_[nodes_[id].output] = output_of(id);
+  std::copy(values_.begin(), values_.end(), scheduled_.begin());
+  sync_settled();
 }
 
 void BitParallelSimulator::clock_cycle() {

@@ -93,6 +93,9 @@ class BitParallelSimulator {
 
   // ---- execution (same contracts as Simulator, all lanes at once) ----
   void settle();
+  // Simulator::seat() on every lane at once: counts nothing, not even in
+  // the active lanes.
+  void seat();
   void clock_cycle();
   void reset_flops(circuit::Logic value = circuit::Logic::zero);
   // Forces a net on all 64 lanes and propagates to quiescence.
@@ -129,6 +132,11 @@ class BitParallelSimulator {
 
  private:
   void schedule(circuit::NetId net, LogicW value, std::uint64_t time);
+  // The instance's 64-lane output for the present input values
+  // (uncounted); lane_output_of is its per-lane fallback for cells
+  // without a verified direct word operator.
+  LogicW output_of(circuit::InstanceId id);
+  LogicW lane_output_of(circuit::InstanceId id);
   void evaluate_instance(circuit::InstanceId id, std::uint64_t now);
   void apply_event(circuit::NetId net, LogicW value, std::uint64_t time);
   std::uint64_t drain_events();

@@ -17,15 +17,29 @@
 // linked list consumed from the head, so an appended entry is seen in
 // the same pass.
 //
-// Buckets are intrusive singly-linked lists drawing nodes from one
-// shared freelist-backed pool, so steady-state memory is the *pending
-// high-water mark* (one pool), not a per-slot capacity — and a
-// warmed-up queue performs no heap allocation at all (pinned by
-// tests/sim_alloc_test.cpp). `reserve_hint` pre-sizes the pool;
-// exceeding it falls back to amortized vector growth.
+// Node pool. Buckets are intrusive singly-linked lists drawing nodes from
+// one freelist-backed pool shared by all slots. The pool is stored in
+// fixed-size blocks of kBlockNodes nodes, each block holding the nodes'
+// entries and links in two separate arrays, so a node costs
+// sizeof(Entry) + 4 bytes with no padding between them (28 B for a word
+// event, 12 B for a scalar one). Node index i lives in block
+// i / kBlockNodes. Blocks are allocated one at a time as the pending
+// high-water mark grows (or up front for the constructor's
+// reserve_hint), left unwritten until a node is handed out, and never
+// moved or reallocated, so touched memory follows that high-water mark,
+// and a warmed-up queue performs no heap allocation at all (pinned by
+// tests/sim_alloc_test.cpp).
+//
+// Copies carry the pending entries, not the pool: a copy re-links each
+// slot's entries, in order, into its own nodes 0..size()-1, so it pops
+// exactly what the source pops, and a copy of an empty queue owns no
+// blocks (the reserve is not inherited). Copy-assignment keeps the
+// target's blocks for reuse.
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "circuit/logic.hpp"
@@ -41,19 +55,46 @@ template <class EntryT>
 class WheelQueue {
  public:
   using Entry = EntryT;
+  static constexpr std::uint32_t kBlockNodes = 256;
 
   // `max_delay` bounds push times relative to the current time: pushes
   // must satisfy time() <= t <= time() + max_delay + 1 (the +1 admits
   // the clock edge, scheduled one tick after quiescence).
-  explicit WheelQueue(std::uint64_t max_delay,
-                      std::size_t reserve_hint = 0) {
+  // `reserve_hint` pre-allocates blocks for that many nodes.
+  explicit WheelQueue(std::uint64_t max_delay, std::size_t reserve_hint = 0) {
     std::uint64_t capacity = 2;
     while (capacity < max_delay + 2) capacity <<= 1;
     head_.assign(capacity, kNil);
     tail_.assign(capacity, kNil);
     mask_ = capacity - 1;
-    pool_.reserve(reserve_hint);
+    while (pool_nodes() < reserve_hint) add_block();
   }
+
+  WheelQueue(const WheelQueue& other)
+      : head_(other.head_.size(), kNil),
+        tail_(other.tail_.size(), kNil),
+        mask_{other.mask_},
+        time_{other.time_},
+        wraps_{other.wraps_} {
+    append_pending_of(other);
+  }
+
+  WheelQueue& operator=(const WheelQueue& other) {
+    if (this == &other) return *this;
+    head_.assign(other.head_.size(), kNil);
+    tail_.assign(other.tail_.size(), kNil);
+    mask_ = other.mask_;
+    time_ = other.time_;
+    wraps_ = other.wraps_;
+    free_ = kNil;
+    used_ = 0;
+    pending_ = 0;
+    append_pending_of(other);
+    return *this;
+  }
+
+  WheelQueue(WheelQueue&&) noexcept = default;
+  WheelQueue& operator=(WheelQueue&&) noexcept = default;
 
   bool empty() const { return pending_ == 0; }
   std::size_t size() const { return pending_; }
@@ -66,25 +107,10 @@ class WheelQueue {
 
   std::size_t capacity() const { return head_.size(); }
 
-  void push(std::uint64_t t, Entry e) {
-    std::uint32_t idx;
-    if (free_ != kNil) {
-      idx = free_;
-      free_ = pool_[idx].next;
-    } else {
-      idx = static_cast<std::uint32_t>(pool_.size());
-      pool_.emplace_back();
-    }
-    pool_[idx].entry = e;
-    pool_[idx].next = kNil;
-    const std::size_t s = t & mask_;
-    if (head_[s] == kNil)
-      head_[s] = idx;
-    else
-      pool_[tail_[s]].next = idx;
-    tail_[s] = idx;
-    ++pending_;
-  }
+  // Nodes held by the pool's blocks (a multiple of kBlockNodes).
+  std::size_t pool_nodes() const { return blocks_.size() * kBlockNodes; }
+
+  void push(std::uint64_t t, Entry e) { append(t & mask_, e); }
 
   // Pops the earliest entry (FIFO among same-time entries) and advances
   // time() to its timestamp. Precondition: !empty().
@@ -95,26 +121,75 @@ class WheelQueue {
     }
     const std::size_t s = time_ & mask_;
     const std::uint32_t idx = head_[s];
-    Node& node = pool_[idx];
-    head_[s] = node.next;
+    Block& b = block(idx);
+    const std::uint32_t k = idx & (kBlockNodes - 1);
+    head_[s] = b.next[k];
     if (head_[s] == kNil) tail_[s] = kNil;
-    const Entry e = node.entry;
-    node.next = free_;
+    b.next[k] = free_;
     free_ = idx;
     --pending_;
-    return e;
+    return b.entry[k];
   }
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
-  struct Node {
-    Entry entry{};
-    std::uint32_t next = kNil;
+  struct Block {
+    Entry entry[kBlockNodes];
+    std::uint32_t next[kBlockNodes];
   };
-  std::vector<Node> pool_;      // shared node storage + freelist
+  // Blocks come from operator new and are never value-initialised:
+  // their pages stay untouched until nodes are handed out.
+  struct FreeBlock {
+    void operator()(Block* b) const { ::operator delete(b); }
+  };
+  using BlockPtr = std::unique_ptr<Block, FreeBlock>;
+
+  void add_block() {
+    blocks_.emplace_back(static_cast<Block*>(::operator new(sizeof(Block))));
+  }
+
+  Block& block(std::uint32_t idx) { return *blocks_[idx / kBlockNodes]; }
+  const Block& block(std::uint32_t idx) const {
+    return *blocks_[idx / kBlockNodes];
+  }
+
+  void append(std::size_t s, const Entry& e) {
+    std::uint32_t idx;
+    if (free_ != kNil) {
+      idx = free_;
+      free_ = block(idx).next[idx & (kBlockNodes - 1)];
+    } else {
+      if (used_ == pool_nodes()) add_block();
+      idx = used_++;
+    }
+    Block& b = block(idx);
+    const std::uint32_t k = idx & (kBlockNodes - 1);
+    b.entry[k] = e;
+    b.next[k] = kNil;
+    if (head_[s] == kNil)
+      head_[s] = idx;
+    else
+      block(tail_[s]).next[tail_[s] & (kBlockNodes - 1)] = idx;
+    tail_[s] = idx;
+    ++pending_;
+  }
+
+  // Appends `other`'s pending entries slot by slot in list order.
+  void append_pending_of(const WheelQueue& other) {
+    for (std::size_t s = 0; s < other.head_.size(); ++s)
+      for (std::uint32_t idx = other.head_[s]; idx != kNil;) {
+        const Block& b = other.block(idx);
+        const std::uint32_t k = idx & (kBlockNodes - 1);
+        append(s, b.entry[k]);
+        idx = b.next[k];
+      }
+  }
+
+  std::vector<BlockPtr> blocks_;     // node pool, never moved
   std::vector<std::uint32_t> head_;  // per-slot list head (kNil = empty)
   std::vector<std::uint32_t> tail_;  // per-slot list tail
-  std::uint32_t free_ = kNil;   // freelist head into pool_
+  std::uint32_t free_ = kNil;   // freelist head into the pool
+  std::uint32_t used_ = 0;      // nodes ever handed out (bump index)
   std::uint64_t mask_ = 0;
   std::uint64_t time_ = 0;
   std::uint64_t pending_ = 0;

@@ -46,6 +46,12 @@ struct GraphAccess {
   static std::vector<circuit::InstanceId>& sequential(SimGraph& g) {
     return g.sequential_;
   }
+  static std::vector<circuit::InstanceId>& comb_order(SimGraph& g) {
+    return g.comb_order_;
+  }
+  // Rebuilds comb_order() from the installed nodes and eval CSR; throws
+  // on a combinational cycle.
+  static void levelize(SimGraph& g) { g.levelize(); }
   static std::vector<SimGraph::TieInit>& tie_inits(SimGraph& g) {
     return g.tie_inits_;
   }

@@ -107,6 +107,7 @@ std::shared_ptr<const SimGraph> recompile_incremental(
   GA::luts(*g) = GA::builtin_luts();
   GA::word_ops(*g) = base_graph.word_ops();
   GA::sequential(*g) = base_graph.sequential_instances();
+  GA::comb_order(*g) = base_graph.comb_order();
   GA::tie_inits(*g) = base_graph.tie_inits();
   GA::net_is_input(*g) = GA::net_is_input(base_graph);
   GA::max_input_count(*g) = base_graph.max_input_count();
@@ -170,6 +171,7 @@ std::shared_ptr<const SimGraph> recompile_incremental(
       }
       eval_offsets[n + 1] = static_cast<std::uint32_t>(eval_list.size());
     }
+    GA::levelize(*g);
   }
 
   // Load-model delays change where the edit touched either the driver's

@@ -186,6 +186,7 @@ std::shared_ptr<const SimGraph> decode_graph(const circuit::Netlist& netlist,
   // The LUT bank is per-process static content, identical for every
   // graph — reinstall instead of shipping it in the blob.
   GA::luts(*g) = GA::builtin_luts();
+  GA::levelize(*g);
   return g;
 }
 

@@ -213,6 +213,40 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
 
   net_is_input_.assign(net_count_, 0);
   for (const NetId n : netlist.primary_inputs()) net_is_input_[n] = 1;
+
+  levelize();
+}
+
+void SimGraph::levelize() {
+  // Kahn's algorithm over the eval CSR: an instance is placed once every
+  // combinational driver of its input pins is placed, so the order runs
+  // level by level from the primary inputs, flop outputs and ties. Only
+  // bounds-checked arrays are read, so a decoded graph cannot make this
+  // loop misbehave.
+  const std::size_t inst_count = nodes_.size();
+  std::vector<std::uint32_t> waiting(inst_count, 0);
+  const auto consumers = [&](InstanceId d, auto&& visit) {
+    const NetId out = nodes_[d].output;
+    for (std::uint32_t k = eval_offsets_[out]; k < eval_offsets_[out + 1]; ++k)
+      visit(eval_list_[k]);
+  };
+  std::size_t comb_count = 0;
+  for (InstanceId d = 0; d < inst_count; ++d) {
+    if (nodes_[d].sequential != 0) continue;
+    ++comb_count;
+    consumers(d, [&](InstanceId c) { ++waiting[c]; });
+  }
+  comb_order_.clear();
+  comb_order_.reserve(comb_count);
+  for (InstanceId i = 0; i < inst_count; ++i)
+    if (nodes_[i].sequential == 0 && waiting[i] == 0) comb_order_.push_back(i);
+  for (std::size_t head = 0; head < comb_order_.size(); ++head)
+    consumers(comb_order_[head], [&](InstanceId c) {
+      if (--waiting[c] == 0 && nodes_[c].sequential == 0)
+        comb_order_.push_back(c);
+    });
+  util::require(comb_order_.size() == comb_count,
+                "SimGraph: combinational cycle");
 }
 
 }  // namespace lv::sim

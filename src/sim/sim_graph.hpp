@@ -139,6 +139,16 @@ class SimGraph {
   const std::vector<circuit::InstanceId>& sequential_instances() const {
     return sequential_;
   }
+
+  // Every combinational instance exactly once, levelized: each instance
+  // comes after the combinational drivers of all its inputs. Evaluating
+  // the instances once in this order brings every gate-driven net to its
+  // quiescent value (the slice seat, Simulator::seat). Filled by compile,
+  // by lv-graph/1 decode and by incremental recompile, so workers never
+  // need the netlist's lazy topo_order() cache.
+  const std::vector<circuit::InstanceId>& comb_order() const {
+    return comb_order_;
+  }
   const std::vector<TieInit>& tie_inits() const { return tie_inits_; }
 
   // True when `net` is a primary input (flat bitmap; lets set_input stay
@@ -163,6 +173,10 @@ class SimGraph {
   SimGraph(RawTag, const circuit::Netlist& netlist) : netlist_{netlist} {}
   friend struct detail::GraphAccess;
 
+  // Fills comb_order_ from nodes_ and the eval CSR; throws on a
+  // combinational cycle.
+  void levelize();
+
   const circuit::Netlist& netlist_;
   std::size_t net_count_ = 0;
   std::vector<Node> nodes_;
@@ -174,6 +188,7 @@ class SimGraph {
   std::vector<Lut> luts_;
   std::vector<std::uint8_t> word_ops_;
   std::vector<circuit::InstanceId> sequential_;
+  std::vector<circuit::InstanceId> comb_order_;
   std::vector<TieInit> tie_inits_;
   std::vector<std::uint8_t> net_is_input_;
   std::size_t max_input_count_ = 0;

@@ -125,11 +125,11 @@ Simulator::Simulator(std::shared_ptr<const SimGraph> graph, SimConfig config)
       settled_(graph_->net_count(), Logic::x),
       dirty_flag_(graph_->net_count(), 0),
       flop_state_(graph_->instance_count(), Logic::x),
-      // Pool hint: several events per net can be pending at once under
+      // Pool reserve: several events per net can be pending at once under
       // the load-delay model (a net rescheduled from differently-delayed
       // paths holds one node per pending time; glitchy datapaths measure
       // ~2-3). 4x net count keeps steady state allocation-free; the pool
-      // doubles past it if a pathological netlist needs more.
+      // adds blocks past it if a pathological netlist needs more.
       queue_{graph_->max_delay(config.delay_model), 4 * graph_->net_count()},
       stats_{graph_->net_count()} {
   nodes_ = graph_->nodes().data();
@@ -178,25 +178,29 @@ void Simulator::schedule(NetId net, Logic value, std::uint64_t time) {
   if (queue_.size() > queue_hwm_) queue_hwm_ = queue_.size();
 }
 
-void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
-  const SimGraph::Node& node = nodes_[id];
+inline Logic Simulator::output_of(const SimGraph::Node& node) {
   const NetId* ins = in_nets_ + node.in_begin;
-  Logic out;
   if (node.lut != SimGraph::kNoLut) {
     // Pack the 2-bit input codes into a table index: one shift/or per
     // pin, no allocation, no cell_info lookup.
     unsigned idx = 0;
     for (unsigned k = 0; k < node.in_count; ++k)
       idx |= static_cast<unsigned>(values_[ins[k]]) << (2u * k);
-    out = luts_[node.lut][idx];
-    ++lut_evals_;
-  } else {
-    for (unsigned k = 0; k < node.in_count; ++k)
-      eval_scratch_[k] = values_[ins[k]];
-    out = circuit::evaluate_cell(static_cast<CellKind>(node.kind),
-                                 {eval_scratch_.data(), node.in_count});
-    ++generic_evals_;
+    return luts_[node.lut][idx];
   }
+  for (unsigned k = 0; k < node.in_count; ++k)
+    eval_scratch_[k] = values_[ins[k]];
+  return circuit::evaluate_cell(static_cast<CellKind>(node.kind),
+                                {eval_scratch_.data(), node.in_count});
+}
+
+void Simulator::evaluate_instance(InstanceId id, std::uint64_t now) {
+  const SimGraph::Node& node = nodes_[id];
+  const Logic out = output_of(node);
+  if (node.lut != SimGraph::kNoLut)
+    ++lut_evals_;
+  else
+    ++generic_evals_;
   if (out == scheduled_[node.output]) return;
   schedule(node.output, out, now + delay_[id]);
 }
@@ -284,17 +288,15 @@ void Simulator::settle() {
   finish_cycle();
 }
 
-void Simulator::settle_uncounted() {
-  // Same drain, but the toggles it counts are rolled back and no cycle
-  // is closed: the settled view simply jumps to the new quiescent state.
-  const std::vector<std::uint64_t> kept = stats_.transitions_;
-  const std::uint64_t processed = drain_events();
-  stats_.transitions_ = kept;
-  cycle_transitions_ = 0;
-  if (obs::enabled()) {
-    c_settles().add(1);
-    h_events_per_settle().add(static_cast<double>(processed));
+void Simulator::seat() {
+  while (!queue_.empty()) {
+    const CalendarQueue::Entry e = queue_.pop();
+    values_[e.net] = e.value;
   }
+  // Levelized: every input of an instance is final before it evaluates.
+  for (const InstanceId id : graph_->comb_order())
+    values_[nodes_[id].output] = output_of(nodes_[id]);
+  std::copy(values_.begin(), values_.end(), scheduled_.begin());
   sync_settled();
 }
 

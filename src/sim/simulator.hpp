@@ -114,11 +114,15 @@ class Simulator {
   // Propagates pending input changes to quiescence and closes out one
   // "cycle" for statistics purposes.
   void settle();
-  // Propagates to quiescence like settle() but closes no statistics
-  // cycle: no cycle, transition or settled change is counted (it still
-  // counts as a settle call in lv::obs). Primes a simulator onto the
-  // quiescent state of its present inputs.
-  void settle_uncounted();
+  // Seats the simulator on the quiescent state of its inputs without
+  // simulating the way there: applies every pending event's value
+  // directly, evaluates each combinational instance once in the graph's
+  // levelized order (SimGraph::comb_order), and takes the result as the
+  // settled state. Counts nothing — no settle call, event, transition,
+  // settled change or cycle. When the pending events drive only primary
+  // inputs and flop outputs (stimulus), every net ends on the value an
+  // event-driven settle() would leave (pinned by Stimulus.SeatMatchesSettle).
+  void seat();
   // One synchronous cycle: flops in enabled modules capture D, then the
   // combinational cloud settles. Counts as one cycle of statistics.
   void clock_cycle();
@@ -146,6 +150,8 @@ class Simulator {
 
  private:
   void schedule(circuit::NetId net, circuit::Logic value, std::uint64_t time);
+  // The instance's output for the present input values (uncounted).
+  circuit::Logic output_of(const SimGraph::Node& node);
   void evaluate_instance(circuit::InstanceId id, std::uint64_t now);
   void apply_event(circuit::NetId net, circuit::Logic value,
                    std::uint64_t time);

@@ -76,15 +76,29 @@ std::vector<std::uint64_t> random_walk_vectors(std::size_t count, int bits,
 
 namespace {
 
-// Counted settles per slice at the kernel's lane width (stimulus.hpp).
+// Slice geometry (stimulus.hpp): ceil(n / kSlices) vectors per slice,
+// clamped to [floor, kSliceSettles * lanes].
+constexpr std::size_t kSlices = 16;
 constexpr std::size_t kSliceSettles = 16;
+// Per-kernel floors (EXPERIMENTS.md "Sixteen-slice replay"): a word
+// slice below one vector per lane would leave lanes idle and multiply
+// the settles; the scalar floor was picked by measurement.
+constexpr std::size_t kScalarFloor = 4;
+constexpr std::size_t kWordFloor = kLaneCount;
+
+std::size_t slice_length(std::size_t n, std::size_t floor,
+                         std::size_t lanes) {
+  return std::clamp((n + kSlices - 1) / kSlices, floor,
+                    kSliceSettles * lanes);
+}
 
 // Runs run_slice(sim, begin, end) over contiguous slices of `len`
-// vectors covering [0, n). The last slice runs on the caller's
-// simulator, so it ends where a serial replay ends; every other slice
-// runs in an exec task on a worker-local copy of a snapshot taken before
-// any slice runs, and the copies' stats are added into the caller's
-// afterwards. Slice geometry depends on n alone, so the work (and every
+// vectors covering [0, n). Every slice runs in an exec task on a
+// worker-local copy of `sim` with cleared stats (`sim` itself is only
+// read until all slices are done); the copy that ran the last slice then
+// becomes `sim`, so `sim` ends where a serial replay ends, and the
+// stats of `sim` before the call and of every other slice are added
+// into it. Slice geometry depends on n alone, so the work (and every
 // Stability::exact counter) is the same at any thread width.
 template <class Sim, class RunSlice>
 void run_sliced(Sim& sim, std::size_t n, std::size_t len,
@@ -95,15 +109,14 @@ void run_sliced(Sim& sim, std::size_t n, std::size_t len,
     run_slice(sim, 0, n);
     return;
   }
-  Sim snapshot = sim;
-  snapshot.clear_stats();
-  const std::size_t nets = snapshot.netlist().net_count();
+  const std::size_t nets = sim.netlist().net_count();
   struct Worker {
     std::optional<Sim> sim;
     ActivityStats stats;
   };
   std::mutex mu;
   std::deque<Worker> workers;  // one per participating exec worker
+  std::optional<Sim> last;
   exec::parallel_map_stateful<char>(
       slices,
       [&] {
@@ -112,19 +125,23 @@ void run_sliced(Sim& sim, std::size_t n, std::size_t len,
       },
       [&](Worker* w, std::size_t s) {
         const std::size_t begin = s * len;
-        const std::size_t end = std::min(begin + len, n);
-        if (s + 1 == slices) {
-          run_slice(sim, begin, end);
-          return char{0};
-        }
         if (w->sim)
-          *w->sim = snapshot;
+          *w->sim = sim;
         else
-          w->sim.emplace(snapshot);
-        run_slice(*w->sim, begin, end);
-        w->stats.add(w->sim->stats());
+          w->sim.emplace(sim);
+        w->sim->clear_stats();
+        run_slice(*w->sim, begin, std::min(begin + len, n));
+        if (s + 1 == slices) {
+          last = std::move(w->sim);
+          w->sim.reset();
+        } else {
+          w->stats.add(w->sim->stats());
+        }
         return char{0};
       });
+  const ActivityStats before = sim.stats();
+  sim = std::move(*last);
+  sim.add_stats(before);
   for (const Worker& w : workers) sim.add_stats(w.stats);
 }
 
@@ -136,14 +153,15 @@ void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
                               const std::vector<std::uint64_t>& b_vectors) {
   u::require(a_vectors.size() == b_vectors.size(),
              "run_two_operand_workload: vector count mismatch");
-  run_sliced(sim, a_vectors.size(), kSliceSettles,
+  const std::size_t n = a_vectors.size();
+  run_sliced(sim, n, slice_length(n, kScalarFloor, 1),
              [&](Simulator& s, std::size_t begin, std::size_t end) {
                // Seat the simulator on the state a serial replay has
                // after vector begin - 1 (stimulus.hpp).
                if (begin > 0) {
                  s.set_bus(a, a_vectors[begin - 1]);
                  s.set_bus(b, b_vectors[begin - 1]);
-                 s.settle_uncounted();
+                 s.seat();
                }
                for (std::size_t i = begin; i < end; ++i) {
                  s.set_bus(a, a_vectors[i]);
@@ -165,29 +183,27 @@ void run_two_operand_workload(BitParallelSimulator& sim,
     const std::size_t m = end - begin;
     const std::size_t k = (m + kLaneCount - 1) / kLaneCount;
     const std::size_t lanes = (m + k - 1) / k;
-    // Priming settle, uncounted via an empty active-lane mask: every lane
-    // presents the predecessor of its first vector — vector i - 1, or
-    // for i == 0 the present input value, which is what a serial replay
-    // starts from.
-    const auto prime_bus = [&](const circuit::Bus& bus,
-                               const std::vector<std::uint64_t>& v) {
+    std::vector<std::uint64_t> a_lane(lanes), b_lane(lanes);
+    // Seat every lane on the predecessor of its first vector — vector
+    // i - 1, or for i == 0 the present input value, which is what a
+    // serial replay starts from.
+    const auto seat_bus = [&](const circuit::Bus& bus,
+                              const std::vector<std::uint64_t>& v,
+                              std::vector<std::uint64_t>& lane_values) {
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        const std::size_t first = begin + lane * k;
+        lane_values[lane] = first == 0 ? 0 : v[first - 1];
+      }
       for (std::size_t j = 0; j < bus.size(); ++j) {
-        LogicW w{0, 0};
-        for (std::size_t lane = 0; lane < lanes; ++lane) {
-          const std::size_t first = begin + lane * k;
-          w = with_lane(w, static_cast<unsigned>(lane),
-                        first == 0
-                            ? lane_of(s.value(bus[j]), 0)
-                            : circuit::from_bool((v[first - 1] >> j) & 1));
-        }
+        LogicW w = lane_bits(lane_values.data(), lanes,
+                             static_cast<unsigned>(j));
+        if (begin == 0) w = with_lane(w, 0, lane_of(s.value(bus[j]), 0));
         s.set_input(bus[j], w);
       }
     };
-    s.set_active_lanes(0);
-    prime_bus(a, a_vectors);
-    prime_bus(b, b_vectors);
-    s.settle();
-    std::vector<std::uint64_t> a_lane(lanes), b_lane(lanes);
+    seat_bus(a, a_vectors, a_lane);
+    seat_bus(b, b_vectors, b_lane);
+    s.seat();
     for (std::size_t step = 0; step < k; ++step) {
       std::uint64_t active = 0;
       for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -208,7 +224,8 @@ void run_two_operand_workload(BitParallelSimulator& sim,
     }
     s.set_active_lanes(kAllLanes);
   };
-  run_sliced(sim, a_vectors.size(), kSliceSettles * kLaneCount, run_slice);
+  const std::size_t n = a_vectors.size();
+  run_sliced(sim, n, slice_length(n, kWordFloor, kLaneCount), run_slice);
 }
 
 lv::util::Histogram activity_histogram(const circuit::Netlist& netlist,

@@ -43,30 +43,41 @@ std::vector<std::uint64_t> random_walk_vectors(std::size_t count, int bits,
 // bit for bit (pinned by sim_activity_test.cpp and
 // sim_bitparallel_test.cpp). Vectors must have equal length.
 //
-// Slices. The N vectors split into contiguous slices of 16 counted
-// settles at the kernel's lane width: 16 vectors for the scalar kernel,
-// 64 x 16 = 1024 for the word kernel. The last slice runs on `sim`, so
-// `sim` ends in the state a serial replay ends in; the other slices run
-// as lv::exec tasks, each on a worker-local copy of a snapshot of `sim`
-// taken before any slice runs (flop state, SimConfig, options and clock
-// enables travel with the copy), and their stats are added into
-// sim.stats() afterwards. At most one copy per exec worker is alive,
-// plus the snapshot. The geometry depends on N only, never on the thread
-// width, so the work done — and every Stability::exact lv::obs counter —
-// is width-invariant. Nested calls (from inside an exec task, e.g. a
-// server worker) run the slices serially on the calling thread.
+// Slices. The N vectors split into contiguous slices of
+// ceil(N / 16) vectors, clamped to at least a per-kernel floor (4 scalar
+// vectors; 64 word vectors, one per lane) and at most 16 counted settles
+// at the kernel's lane width (16 scalar vectors, 64 x 16 = 1024 word
+// vectors). So N >= 16 * floor gives at least 16 slices, enough for the
+// guided exec cursor to balance a few workers, and the geometry depends
+// on N only, never on the thread width: the work done, and every
+// Stability::exact lv::obs counter, is width-invariant. Every slice runs
+// as an lv::exec task on a worker-local copy of `sim` (flop state,
+// SimConfig, options and clock enables travel with the copy) whose stats
+// start cleared; `sim` is only read while slices run. The copy that ran
+// the last slice then becomes `sim`, so `sim` ends in the state a serial
+// replay ends in, and the stats `sim` held before the call plus every
+// other slice's are added into it. At most one copy per exec worker is
+// alive. Nested calls (from inside an exec task, e.g. a server worker)
+// run the slices serially on the calling thread. A single slice runs on
+// `sim` directly.
 //
-// Priming. Every slice starts from the snapshot state, not from where a
-// serial replay would be, so before slice s >= 1 counts anything it runs
-// one uncounted settle on vector s*len - 1. settle() never clocks, so
-// the flops hold their state, and the settled state of the logic is a
-// function of its inputs and that held flop state alone. After the
-// priming settle the simulator therefore holds exactly the state a
-// serial replay has after vector s*len - 1, and every counted settle
-// presents the same (previous, next) vector pair the serial loop would.
-// The price is one extra settle per slice; lv::obs counts it under
-// sim.settle_calls / sim.events_processed (or their sim.word_* twins),
-// never under transitions, settled changes or cycles.
+// Seating. Every slice starts from the state of `sim`, not from where a
+// serial replay would be, so a slice beginning at vector i > 0 first
+// drives vector i - 1 and seats the copy on it (Simulator::seat): the
+// inputs take their values, every combinational instance is evaluated
+// once in levelized order, and the result becomes the settled state,
+// counting nothing. Why that is the state a serial replay has after
+// vector i - 1: settle() never clocks, so the flops hold their state
+// through the whole replay, and the quiescent value of an acyclic
+// combinational net is a function of the primary inputs and the flop
+// outputs alone, which the seat computes directly. (Nets the serial loop
+// never evaluated start X and stay X under both, since every cell maps
+// all-X inputs to X; Stimulus.SeatMatchesSettle pins seat == settle on
+// every gen kind, from fresh and settled states, with held flops.) Every
+// counted settle therefore presents exactly the (previous, next) vector
+// pair of the serial loop. A seat costs one evaluation per instance and
+// O(nets) copying, with no events, so lv::obs counts no settle call,
+// event, transition, settled change or cycle for it.
 void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
                               const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,
@@ -77,13 +88,13 @@ void run_two_operand_workload(Simulator& sim, const circuit::Bus& a,
 // the slice (k = ceil(m/64)), so one pass of k settles covers the slice.
 // Lanes whose subsequence has run out re-drive their last value and are
 // dropped from the active-lane mask, so the aggregate ActivityStats
-// count exactly N lane-cycles. The slice's priming settle (empty
-// active-lane mask) seats every lane on the predecessor of its first
-// vector — vector i - 1, or for i = 0 the present value of lane 0 (X on
-// a fresh simulator, the pre-settled inputs if the caller primed and
-// cleared stats). The argument above then applies lane by lane. Per-lane
-// counters (Options::per_lane_stats) cover the last slice only, and the
-// lanes end on their own last vectors (not on vector N - 1).
+// count exactly N lane-cycles. Every slice's seat puts each lane on the
+// predecessor of its first vector — vector i - 1, or for i = 0 the
+// present value of lane 0 (X on a fresh simulator, the pre-settled
+// inputs if the caller primed and cleared stats). The argument above
+// then applies lane by lane. Per-lane counters (Options::per_lane_stats)
+// cover the last slice only, and the lanes end on their own last
+// vectors (not on vector N - 1).
 void run_two_operand_workload(BitParallelSimulator& sim,
                               const circuit::Bus& a, const circuit::Bus& b,
                               const std::vector<std::uint64_t>& a_vectors,

@@ -25,6 +25,7 @@
 // bit-identical to the scalar kernel by construction.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "circuit/cells.hpp"
@@ -46,6 +47,17 @@ inline constexpr unsigned kLaneCount = 64;
 inline constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
 
 // ---- lane accessors ----------------------------------------------------
+
+// Bit `bit` of each of `count` integers, one per lane: lane L is known
+// and takes bit `bit` of values[L]; lanes from `count` on are 0. The
+// transpose of one bus bit (branch-free: stimulus bits are random).
+constexpr LogicW lane_bits(const std::uint64_t* values, std::size_t count,
+                           unsigned bit) {
+  std::uint64_t one = 0;
+  for (std::size_t lane = 0; lane < count; ++lane)
+    one |= ((values[lane] >> bit) & 1) << lane;
+  return {one, 0};
+}
 
 constexpr LogicW broadcast(circuit::Logic v) {
   if (v == circuit::Logic::one) return {kAllLanes, 0};

@@ -324,10 +324,11 @@ TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
 
 TEST_F(Obs, WorkloadRunnerCountersAreWidthInvariant) {
   // Both activity-replay runners slice their vectors by count alone
-  // (16 vectors per scalar slice, 1024 per word slice) and prime every
-  // copied slice from the same snapshot, so the work — settles, events,
+  // (ceil(N/16) vectors per slice, clamped per kernel) and seat every
+  // slice's copy of the same caller state, so the work — settles, events,
   // transitions, exec items — is identical at every width. 200 scalar
-  // vectors make 13 slices and 2100 word vectors make 3.
+  // vectors make 16 slices of 13 (the last 5) and 2100 word vectors 16
+  // slices of 132 (the last 120).
   lv::circuit::Netlist nl;
   const auto ports = lv::circuit::build_array_multiplier(nl, 4);
   const auto a = lv::sim::random_vectors(2100, 4, 13);
@@ -343,11 +344,12 @@ TEST_F(Obs, WorkloadRunnerCountersAreWidthInvariant) {
   });
 
   const o::RunReport r = o::Registry::global().report();
-  // Priming settles are settle calls (12 scalar, 3 word) but close no
-  // statistics cycle.
-  EXPECT_EQ(r.counters.at("sim.settle_calls"), 200u + 12u);
+  // Seats are not settles: one settle call per scalar vector, and per
+  // word slice one per lane step — ceil(132/64) = 3 in each of 15 full
+  // slices, ceil(120/64) = 2 in the last.
+  EXPECT_EQ(r.counters.at("sim.settle_calls"), 200u);
   EXPECT_EQ(r.counters.at("sim.cycles"), 200u);
-  EXPECT_EQ(r.counters.at("sim.word_settle_calls"), 16u + 16u + 1u + 3u);
+  EXPECT_EQ(r.counters.at("sim.word_settle_calls"), 15u * 3u + 2u);
   EXPECT_EQ(r.counters.at("sim.word_lane_cycles"), 2100u);
 }
 

@@ -4,9 +4,11 @@
 
 #include "circuit/generators.hpp"
 #include "exec/thread_pool.hpp"
+#include "obs/metrics.hpp"
 #include "sim/bp_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stimulus.hpp"
+#include "util/random.hpp"
 
 namespace c = lv::circuit;
 namespace s = lv::sim;
@@ -52,13 +54,20 @@ void expect_same_stats(const s::ActivityStats& got,
   }
 }
 
+// Vector counts on the edges of the slice geometry.
+constexpr std::size_t kEdgeCounts[] = {1,   15,  16,   17,    48,    255,
+                                       256, 257, 2000, 16383, 16384, 16385};
+
 }  // namespace
 
 TEST(Stimulus, SlicedScalarReplayMatchesSerialLoopExactly) {
-  // Slices of 16 vectors run on copies of a snapshot, primed on their
-  // predecessor vector; stats and the final state must equal the serial
-  // loop's bit for bit at any exec width, on a ragged tail (17, 1000),
-  // a single slice (1, 16) and a glitch-heavy multiplier.
+  // Slices of ceil(N/16) vectors (4 to 16) run on copies of the caller's
+  // simulator, seated on their predecessor vector; stats and the final
+  // state must equal the serial loop's bit for bit at any exec width, on
+  // an adder and a glitch-heavy multiplier. The counts sit on the
+  // geometry's edges: one slice, the floor (N < 64), exactly 16 slices,
+  // a ragged last slice, the 16-vector cap (N > 256) and long runs past
+  // it.
   c::Netlist adder_nl;
   const auto adder = c::build_ripple_carry_adder(adder_nl, 8);
   c::Netlist mul_nl;
@@ -70,13 +79,12 @@ TEST(Stimulus, SlicedScalarReplayMatchesSerialLoopExactly) {
   };
   for (const Case& cs : {Case{&adder_nl, adder.a, adder.b, "rca8"},
                          Case{&mul_nl, mul.a, mul.b, "mul8"}}) {
-    for (const std::size_t n : {std::size_t{1}, std::size_t{16},
-                                std::size_t{17}, std::size_t{1000}}) {
+    for (const std::size_t n : kEdgeCounts) {
       const auto a = s::random_vectors(n, 8, 51);
       const auto b = s::random_vectors(n, 8, 52);
       s::Simulator ref{*cs.nl};
       serial_replay(ref, cs.a, cs.b, a, b);
-      for (const std::size_t width : {1u, 2u, 8u}) {
+      for (const std::size_t width : {1u, 2u, 3u, 8u}) {
         lv::exec::set_thread_count(width);
         s::Simulator sim{*cs.nl};
         s::run_two_operand_workload(sim, cs.a, cs.b, a, b);
@@ -134,22 +142,172 @@ TEST(Stimulus, SlicedReplayHoldsPrimedFlopState) {
   lv::exec::set_thread_count(0);
 }
 
-TEST(Stimulus, UncountedSettleCountsNothing) {
-  AdderRig rig{8};
-  rig.sim.set_bus(rig.ports.a, 0xff);
-  rig.sim.set_bus(rig.ports.b, 0x01);
-  rig.sim.settle_uncounted();
-  EXPECT_EQ(rig.sim.stats().cycles(), 0u);
-  EXPECT_EQ(rig.sim.stats().total_transitions(), 0u);
-  std::uint64_t sum = 0;
-  ASSERT_TRUE(rig.sim.read_bus(rig.ports.sum, sum));
-  EXPECT_EQ(sum, 0u);  // 0xff + 0x01 = 0x100, carry out
-  // The next counted settle compares against the primed state, not the
-  // one before it.
-  rig.sim.set_bus(rig.ports.b, 0x02);
-  rig.sim.settle();
-  EXPECT_EQ(rig.sim.stats().cycles(), 1u);
-  EXPECT_EQ(rig.sim.stats().settled_changes(rig.ports.sum[0]), 1u);
+namespace {
+
+// Every `lvtool gen` kind at width 8.
+std::vector<std::pair<std::string, c::Netlist>> gen_designs() {
+  std::vector<std::pair<std::string, c::Netlist>> out;
+  const auto add = [&](const char* name, auto&& build) {
+    c::Netlist nl;
+    build(nl);
+    out.emplace_back(name, std::move(nl));
+  };
+  add("rca", [](c::Netlist& nl) { c::build_ripple_carry_adder(nl, 8); });
+  add("cla", [](c::Netlist& nl) { c::build_carry_lookahead_adder(nl, 8); });
+  add("csel", [](c::Netlist& nl) { c::build_carry_select_adder(nl, 8); });
+  add("ks", [](c::Netlist& nl) { c::build_kogge_stone_adder(nl, 8); });
+  add("mul", [](c::Netlist& nl) { c::build_array_multiplier(nl, 8); });
+  add("shifter", [](c::Netlist& nl) { c::build_barrel_shifter(nl, 8); });
+  add("alu", [](c::Netlist& nl) { c::build_alu(nl, 8); });
+  add("cskip", [](c::Netlist& nl) { c::build_carry_skip_adder(nl, 8); });
+  add("wmul", [](c::Netlist& nl) { c::build_wallace_multiplier(nl, 8); });
+  return out;
+}
+
+// The counters a seat must leave alone, in both kernels' families.
+std::vector<std::uint64_t> seat_counters() {
+  auto& reg = lv::obs::Registry::global();
+  std::vector<std::uint64_t> out;
+  for (const char* name :
+       {"sim.settle_calls", "sim.events_processed", "sim.transitions",
+        "sim.cycles", "sim.word_settle_calls", "sim.word_events_processed",
+        "sim.word_transitions", "sim.word_lane_cycles"})
+    out.push_back(reg.counter(name).value());
+  return out;
+}
+
+// Drives every primary input: scalar sims from bit i of `v`, word sims
+// lane by lane from `lanes[L]` (bit i of lanes[L] drives input i's lane L).
+void drive(s::Simulator& sim, const c::Netlist& nl, std::uint64_t v) {
+  const auto& pis = nl.primary_inputs();
+  for (std::size_t i = 0; i < pis.size(); ++i)
+    sim.set_input(pis[i], c::from_bool((v >> (i % 64)) & 1));
+}
+void drive(s::BitParallelSimulator& sim, const c::Netlist& nl,
+           const std::vector<std::uint64_t>& lanes) {
+  const auto& pis = nl.primary_inputs();
+  for (std::size_t i = 0; i < pis.size(); ++i) {
+    s::LogicW w{0, 0};
+    for (unsigned lane = 0; lane < s::kLaneCount; ++lane)
+      w = s::with_lane(w, lane, c::from_bool((lanes[lane] >> (i % 64)) & 1));
+    sim.set_input(pis[i], w);
+  }
+}
+
+// Runs `step` on two copies of `sim`, settling one and seating the
+// other, and requires identical net values and an uncounted seat.
+template <class Sim, class Step>
+void expect_seat_matches_settle(const Sim& sim, const c::Netlist& nl,
+                                const Step& step, const std::string& label) {
+  Sim settled = sim;
+  Sim seated = sim;
+  step(settled);
+  settled.settle();
+  step(seated);
+  const auto counters = seat_counters();
+  const auto stats = seated.stats();
+  seated.seat();
+  EXPECT_EQ(seat_counters(), counters) << label;
+  EXPECT_EQ(seated.stats().cycles(), stats.cycles()) << label;
+  for (c::NetId n = 0; n < nl.net_count(); ++n) {
+    ASSERT_EQ(seated.value(n), settled.value(n))
+        << label << " net '" << nl.net(n).name << "'";
+    ASSERT_EQ(seated.stats().transitions(n), stats.transitions(n)) << label;
+    ASSERT_EQ(seated.stats().settled_changes(n), stats.settled_changes(n))
+        << label;
+  }
+  // The next counted settle compares against the seated state exactly as
+  // it would against the settled one.
+  settled.clear_stats();
+  seated.clear_stats();
+  step(settled);
+  step(seated);
+  settled.settle();
+  seated.settle();
+  expect_same_stats(seated.stats(), settled.stats(), nl.net_count(),
+                    label + " next settle");
+}
+
+}  // namespace
+
+TEST(Stimulus, SeatMatchesSettle) {
+  // The slice seat evaluates each combinational instance once in
+  // levelized order instead of simulating events. It must land on the
+  // state an event-driven settle reaches from the same start, in both
+  // kernels and every lane, and count nothing: on every gen kind from a
+  // settled state, from a fresh never-settled simulator, and with held
+  // flop state.
+  // A fresh simulator's never-evaluated nets stay X under settle(); the
+  // seat evaluates them, so every cell must map all-X inputs to X.
+  for (std::size_t k = 0; k < static_cast<std::size_t>(c::CellKind::kind_count);
+       ++k) {
+    const auto kind = static_cast<c::CellKind>(k);
+    const auto& info = c::cell_info(kind);
+    if (info.sequential || info.input_count == 0) continue;
+    const std::vector<c::Logic> xs(static_cast<std::size_t>(info.input_count),
+                                   c::Logic::x);
+    EXPECT_EQ(c::evaluate_cell(kind, xs), c::Logic::x) << info.name;
+  }
+  const bool was = lv::obs::enabled();
+  lv::obs::set_enabled(true);
+  lv::util::Xoshiro256 rng{71};
+  const auto lane_values = [&] {
+    std::vector<std::uint64_t> v(s::kLaneCount);
+    for (auto& x : v) x = rng.next_u64();
+    return v;
+  };
+  for (const auto& [name, nl] : gen_designs()) {
+    const std::uint64_t v0 = rng.next_u64();
+    const std::uint64_t v1 = rng.next_u64();
+    s::Simulator scalar{nl};
+    expect_seat_matches_settle(
+        scalar, nl, [&](s::Simulator& sim) { drive(sim, nl, v1); },
+        name + " scalar fresh");
+    drive(scalar, nl, v0);
+    scalar.settle();
+    expect_seat_matches_settle(
+        scalar, nl, [&](s::Simulator& sim) { drive(sim, nl, v1); },
+        name + " scalar");
+
+    const auto w0 = lane_values();
+    const auto w1 = lane_values();
+    s::BitParallelSimulator word{nl};
+    expect_seat_matches_settle(
+        word, nl, [&](s::BitParallelSimulator& sim) { drive(sim, nl, w1); },
+        name + " word fresh");
+    drive(word, nl, w0);
+    word.settle();
+    expect_seat_matches_settle(
+        word, nl, [&](s::BitParallelSimulator& sim) { drive(sim, nl, w1); },
+        name + " word");
+  }
+
+  // Register + adder with the flops clocked to 0x5a: the seat must keep
+  // the held flop state and evaluate the adder from it.
+  c::Netlist nl;
+  const auto reg = c::build_register_bank(nl, c::CellKind::dff, 8);
+  c::build_ripple_carry_adder(nl, 8, "adder", reg.d, reg.q);
+  s::Simulator scalar{nl};
+  scalar.reset_flops(c::Logic::one);
+  scalar.set_bus(reg.d, 0x5a);
+  scalar.settle();
+  scalar.clock_cycle();
+  expect_seat_matches_settle(
+      scalar, nl, [&](s::Simulator& sim) { sim.set_bus(reg.d, 0xc3); },
+      "register scalar");
+  s::BitParallelSimulator word{nl};
+  word.reset_flops(c::Logic::one);
+  word.set_bus_broadcast(reg.d, 0x5a);
+  word.settle();
+  word.clock_cycle();
+  const auto d = lane_values();
+  expect_seat_matches_settle(
+      word, nl, [&](s::BitParallelSimulator& sim) { sim.set_bus(reg.d, d); },
+      "register word");
+  std::uint64_t held = 0;
+  ASSERT_TRUE(word.read_bus(reg.q, 5, held));
+  EXPECT_EQ(held, 0x5au);
+  lv::obs::set_enabled(was);
 }
 
 TEST(Stimulus, GeneratorsShapeAndDeterminism) {

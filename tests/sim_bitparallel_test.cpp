@@ -382,15 +382,19 @@ TEST(SimBitParallel, ActiveLaneMaskGatesAccountingOnly) {
 }
 
 TEST(SimBitParallel, LaneChunkedWorkloadMatchesScalarReplayExactly) {
-  // The workload runner splits the vectors into slices of 1024 (64 lanes
-  // x 16 settles), runs slices >= 1 on snapshot copies across exec
-  // workers, and primes every lane on its predecessor vector, so the
+  // The workload runner splits the vectors into slices of ceil(N/16)
+  // (64 to 1024), runs each on a copy of the caller's simulator across
+  // exec workers, and seats every lane on its predecessor vector, so the
   // aggregate ActivityStats must equal a hand-written serial scalar loop
   // *bit for bit* — per-net transitions, settled changes, cycle count,
   // and therefore mean alpha and the Fig. 8 histogram. The vector counts
-  // cover one vector, chunk length 1, a ragged tail, one full slice, one
-  // vector past it, and two slices; the widths cover the serial path
-  // and more workers than slices.
+  // sit on the geometry's edges: one vector, one partial slice at the
+  // floor (N <= 1024), exactly 16 slices, a ragged last slice, the
+  // 1024-vector cap (N > 16384); the widths cover the serial path, an
+  // odd width and more workers than cores. Lanes end on their own last
+  // vectors, so the final state is checked lane by lane: identical at
+  // every width, each lane the settled state of the inputs it holds, and
+  // the lane holding vector N - 1 equal to the serial loop's final state.
   c::Netlist adder_nl;
   const auto adder = c::build_ripple_carry_adder(adder_nl, 8);
   c::Netlist mul_nl;
@@ -402,10 +406,14 @@ TEST(SimBitParallel, LaneChunkedWorkloadMatchesScalarReplayExactly) {
   };
   for (const Case& cs : {Case{&adder_nl, adder.a, adder.b, "rca8"},
                          Case{&mul_nl, mul.a, mul.b, "mul8"}}) {
+    const std::size_t nets = cs.nl->net_count();
     for (const std::size_t n :
-         {std::size_t{1}, std::size_t{64}, std::size_t{100},
-          std::size_t{1000}, std::size_t{1024}, std::size_t{1025},
-          std::size_t{2000}}) {
+         {std::size_t{1}, std::size_t{15}, std::size_t{16}, std::size_t{17},
+          std::size_t{48}, std::size_t{255}, std::size_t{256},
+          std::size_t{257}, std::size_t{2000}, std::size_t{16383},
+          std::size_t{16384}, std::size_t{16385}}) {
+      const std::string label =
+          std::string{cs.name} + " n = " + std::to_string(n);
       const auto a = s::random_vectors(n, 8, 41);
       const auto b = s::random_vectors(n, 8, 42);
       s::Simulator scalar{*cs.nl};
@@ -415,26 +423,67 @@ TEST(SimBitParallel, LaneChunkedWorkloadMatchesScalarReplayExactly) {
         scalar.settle();
       }
       ASSERT_EQ(scalar.stats().cycles(), n);
-      for (const std::size_t width : {1u, 2u, 8u}) {
+      std::vector<s::LogicW> final_values;
+      for (const std::size_t width : {1u, 2u, 3u, 8u}) {
         lv::exec::set_thread_count(width);
         s::BitParallelSimulator word{*cs.nl};
         s::run_two_operand_workload(word, cs.a, cs.b, a, b);
         ASSERT_EQ(word.stats().cycles(), n);
-        for (c::NetId net = 0; net < cs.nl->net_count(); ++net) {
+        for (c::NetId net = 0; net < nets; ++net) {
           ASSERT_EQ(word.stats().transitions(net),
                     scalar.stats().transitions(net))
-              << cs.name << " net '" << cs.nl->net(net).name << "' n = " << n
-              << " width " << width;
+              << label << " net '" << cs.nl->net(net).name << "' width "
+              << width;
           ASSERT_EQ(word.stats().settled_changes(net),
                     scalar.stats().settled_changes(net))
-              << cs.name << " net '" << cs.nl->net(net).name << "' n = " << n
-              << " width " << width;
+              << label << " net '" << cs.nl->net(net).name << "' width "
+              << width;
         }
         if (n > 1) {
           EXPECT_GT(s::mean_alpha(word), 0.0);
         }
         EXPECT_EQ(s::mean_alpha(word), s::mean_alpha(scalar));
+        std::vector<s::LogicW> values(nets);
+        for (c::NetId net = 0; net < nets; ++net) values[net] = word.value(net);
+        if (final_values.empty()) {
+          final_values = values;
+          continue;
+        }
+        for (c::NetId net = 0; net < nets; ++net)
+          ASSERT_EQ(values[net], final_values[net])
+              << label << " final net '" << cs.nl->net(net).name
+              << "' width " << width;
       }
+      bool saw_last = false;
+      for (unsigned lane = 0; lane < s::kLaneCount; ++lane) {
+        std::uint64_t la = 0, lb = 0;
+        bool known = true;
+        for (const c::NetId net : cs.a)
+          known = known && s::lane_of(final_values[net], lane) != c::Logic::x;
+        for (const c::NetId net : cs.b)
+          known = known && s::lane_of(final_values[net], lane) != c::Logic::x;
+        if (!known) continue;
+        for (std::size_t j = 0; j < cs.a.size(); ++j) {
+          if (s::lane_of(final_values[cs.a[j]], lane) == c::Logic::one)
+            la |= std::uint64_t{1} << j;
+          if (s::lane_of(final_values[cs.b[j]], lane) == c::Logic::one)
+            lb |= std::uint64_t{1} << j;
+        }
+        s::Simulator settled{*cs.nl};
+        settled.set_bus(cs.a, la);
+        settled.set_bus(cs.b, lb);
+        settled.settle();
+        for (c::NetId net = 0; net < nets; ++net)
+          ASSERT_EQ(s::lane_of(final_values[net], lane), settled.value(net))
+              << label << " lane " << lane << " net '"
+              << cs.nl->net(net).name << "'";
+        if (la == a.back() && lb == b.back()) {
+          saw_last = true;
+          for (c::NetId net = 0; net < nets; ++net)
+            ASSERT_EQ(settled.value(net), scalar.value(net)) << label;
+        }
+      }
+      EXPECT_TRUE(saw_last) << label;
     }
   }
   lv::exec::set_thread_count(0);

@@ -1,9 +1,11 @@
 // Unit tests for the calendar-queue (timing-wheel) scheduler: the
 // (time, FIFO) ordering contract, wheel wrap-around, pushing into the
-// slot currently being drained, and lazy bucket clearing.
+// slot currently being drained, lazy bucket clearing, and the block node
+// pool (pending sets across blocks, freelist reuse, copies).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "circuit/logic.hpp"
@@ -116,4 +118,94 @@ TEST(CalendarQueue, SizeTracksPushesAndPops) {
   q.pop();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+namespace {
+
+constexpr std::size_t kBlock = CalendarQueue::kBlockNodes;
+
+// Pushes `count` entries over times now()..now()+3, net ids in push
+// order, so (time, FIFO) order is checkable from the nets alone.
+void push_spread(CalendarQueue& q, std::size_t count, c::NetId first) {
+  for (std::size_t i = 0; i < count; ++i)
+    q.push(q.time() + (i * 7) % 4, entry(first + static_cast<c::NetId>(i)));
+}
+
+// Pops everything, returning (time, net) in pop order.
+std::vector<std::pair<std::uint64_t, c::NetId>> drain(CalendarQueue& q) {
+  std::vector<std::pair<std::uint64_t, c::NetId>> out;
+  while (!q.empty()) {
+    const c::NetId net = q.pop().net;
+    out.emplace_back(q.time(), net);
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(CalendarQueue, PendingSetSpanningBlocksPopsInTimeFifoOrder) {
+  // More than three pool blocks pending at once: the order contract must
+  // not depend on which block a node came from.
+  CalendarQueue q{4};
+  const std::size_t count = 3 * kBlock + 17;
+  push_spread(q, count, 0);
+  EXPECT_GE(q.pool_nodes(), 3 * kBlock);
+  const auto popped = drain(q);
+  ASSERT_EQ(popped.size(), count);
+  for (std::size_t i = 1; i < popped.size(); ++i) {
+    const auto& [t0, n0] = popped[i - 1];
+    const auto& [t1, n1] = popped[i];
+    ASSERT_TRUE(t0 < t1 || (t0 == t1 && n0 < n1))
+        << "pop " << i << ": (" << t0 << ", " << n0 << ") then (" << t1
+        << ", " << n1 << ")";
+  }
+}
+
+TEST(CalendarQueue, FreelistIsReusedAcrossBlocks) {
+  // Popped nodes from every block go back on one freelist; refilling to
+  // the same high-water mark, in a different time pattern, allocates no
+  // further block.
+  CalendarQueue q{4};
+  push_spread(q, 3 * kBlock + 17, 0);
+  const std::size_t nodes = q.pool_nodes();
+  drain(q);
+  EXPECT_EQ(q.pool_nodes(), nodes);
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t i = 0; i < 3 * kBlock + 17; ++i)
+      q.push(q.time() + (i % 2), entry(static_cast<c::NetId>(i)));
+    EXPECT_EQ(drain(q).size(), 3 * kBlock + 17);
+    EXPECT_EQ(q.pool_nodes(), nodes) << "round " << round;
+  }
+}
+
+TEST(CalendarQueue, CopiesWithPendingEntriesPopIdentically) {
+  // A source whose freelist is scrambled across blocks (pushes and pops
+  // interleaved) and that holds entries in several slots: the
+  // copy-constructed and the copy-assigned queue pop the same (time, net)
+  // sequence, and so does the source afterwards.
+  CalendarQueue source{6};
+  push_spread(source, 2 * kBlock + 5, 0);
+  for (int i = 0; i < 300; ++i) source.pop();
+  push_spread(source, kBlock + 9, 10'000);
+  for (int i = 0; i < 50; ++i) source.pop();
+  ASSERT_GT(source.size(), kBlock);
+
+  CalendarQueue constructed{source};
+  CalendarQueue assigned{2};
+  push_spread(assigned, kBlock, 90'000);  // stale pending state to replace
+  assigned = source;
+  EXPECT_EQ(constructed.size(), source.size());
+  EXPECT_EQ(assigned.size(), source.size());
+  EXPECT_EQ(assigned.capacity(), source.capacity());
+  EXPECT_EQ(constructed.time(), source.time());
+  EXPECT_EQ(assigned.wraps(), source.wraps());
+
+  const auto want = drain(source);
+  EXPECT_EQ(drain(constructed), want);
+  EXPECT_EQ(drain(assigned), want);
+  // The copies keep working as queues after the copy.
+  for (CalendarQueue* q : {&constructed, &assigned, &source}) {
+    push_spread(*q, kBlock + 3, 0);
+    EXPECT_EQ(drain(*q).size(), kBlock + 3);
+  }
 }

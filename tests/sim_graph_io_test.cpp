@@ -57,6 +57,8 @@ void expect_round_trip_identical(const c::Netlist& nl) {
     EXPECT_EQ(decoded->luts()[i], compiled->luts()[i]) << "lut " << i;
   EXPECT_EQ(decoded->max_delay(s::SimConfig::DelayModel::load),
             compiled->max_delay(s::SimConfig::DelayModel::load));
+  // Nor is the levelized order: decode rebuilds it from the graph.
+  EXPECT_EQ(decoded->comb_order(), compiled->comb_order());
 }
 
 }  // namespace

@@ -80,6 +80,7 @@ void expect_incremental_identical(const std::string& edited_text,
 
   const s::SimGraph full{edited};
   EXPECT_EQ(s::encode_graph(*patched), s::encode_graph(full));
+  EXPECT_EQ(patched->comb_order(), full.comb_order());
 }
 
 }  // namespace
