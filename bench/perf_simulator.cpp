@@ -191,14 +191,18 @@ void BM_Assembler(benchmark::State& state) {
 }
 BENCHMARK(BM_Assembler);
 
-// Stuck-at fault campaign over an adder, at the worker width given by the
-// argument (/1 = serial code path; results identical at every width and
-// between the scalar and word kernels). The scalar/word pair at one
-// thread is the measured fault-campaign speedup CI gates on.
-void fault_campaign(benchmark::State& state, lv::sim::FaultKernel kernel) {
+// Stuck-at fault campaigns at the worker width given by the argument (/1
+// = serial code path; results identical at every width and between the
+// scalar and word kernels). The scalar/word pairs at one thread are the
+// measured fault-campaign speedups CI gates on: RCA12, small and
+// early-exit friendly, and mul8, where the scalar reference replays the
+// array multiplier's glitches and the word kernel grades settled values.
+template <class Build>
+void fault_campaign(benchmark::State& state, lv::sim::FaultKernel kernel,
+                    Build build) {
   lv::exec::set_thread_count(static_cast<std::size_t>(state.range(0)));
   lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 12);
+  build(nl);
   const auto vecs = lv::sim::random_vectors(
       64, static_cast<int>(nl.primary_inputs().size()), 7);
   for (auto _ : state) {
@@ -210,17 +214,36 @@ void fault_campaign(benchmark::State& state, lv::sim::FaultKernel kernel) {
   lv::exec::set_thread_count(0);
 }
 
+void rca12(lv::circuit::Netlist& nl) {
+  lv::circuit::build_ripple_carry_adder(nl, 12);
+}
+void mul8(lv::circuit::Netlist& nl) {
+  lv::circuit::build_array_multiplier(nl, 8);
+}
+
 void BM_FaultCampaignScalar(benchmark::State& state) {
-  fault_campaign(state, lv::sim::FaultKernel::scalar);
+  fault_campaign(state, lv::sim::FaultKernel::scalar, rca12);
 }
 BENCHMARK(BM_FaultCampaignScalar)->ArgName("threads")->Arg(1)->Arg(2)
     ->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_FaultCampaignWord(benchmark::State& state) {
-  fault_campaign(state, lv::sim::FaultKernel::word);
+  fault_campaign(state, lv::sim::FaultKernel::word, rca12);
 }
 BENCHMARK(BM_FaultCampaignWord)->ArgName("threads")->Arg(1)->Arg(2)
     ->Arg(4)->Arg(8)->UseRealTime();
+
+void BM_FaultCampaignMulScalar(benchmark::State& state) {
+  fault_campaign(state, lv::sim::FaultKernel::scalar, mul8);
+}
+BENCHMARK(BM_FaultCampaignMulScalar)->ArgName("threads")->Arg(1)
+    ->UseRealTime();
+
+void BM_FaultCampaignMulWord(benchmark::State& state) {
+  fault_campaign(state, lv::sim::FaultKernel::word, mul8);
+}
+BENCHMARK(BM_FaultCampaignMulWord)->ArgName("threads")->Arg(1)
+    ->UseRealTime();
 
 }  // namespace
 

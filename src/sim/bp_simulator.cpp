@@ -30,6 +30,10 @@ lv::obs::Counter& c_settles() {
       lv::obs::Registry::global().counter("sim.word_settle_calls");
   return c;
 }
+lv::obs::Counter& c_seats() {
+  static auto& c = lv::obs::Registry::global().counter("sim.word_seats");
+  return c;
+}
 lv::obs::Counter& c_lane_cycles() {
   static auto& c = lv::obs::Registry::global().counter("sim.word_lane_cycles");
   return c;
@@ -344,15 +348,33 @@ void BitParallelSimulator::settle() {
   finish_cycle();
 }
 
-void BitParallelSimulator::seat() {
+void BitParallelSimulator::seat() { seat_pass(nullptr); }
+
+void BitParallelSimulator::seat(std::span<const StuckLanes> stuck) {
+  if (stuck.size() != values_.size())
+    throw u::Error("BitParallelSimulator: seat: one StuckLanes per net");
+  seat_pass(stuck.data());
+}
+
+void BitParallelSimulator::seat_pass(const StuckLanes* stuck) {
   while (!queue_.empty()) {
     const WordEvent e = queue_.pop();
     values_[e.net] = e.value;
   }
-  for (const InstanceId id : graph_->comb_order())
-    values_[nodes_[id].output] = output_of(id);
+  // Pins on nets no combinational instance drives (inputs, flop outputs,
+  // undriven nets) take effect here; gate outputs are pinned as they are
+  // computed, before any fanout reads them.
+  if (stuck != nullptr)
+    for (std::size_t n = 0; n < values_.size(); ++n)
+      values_[n] = pinned(values_[n], stuck[n]);
+  for (const InstanceId id : graph_->comb_order()) {
+    const NetId out = nodes_[id].output;
+    values_[out] =
+        stuck != nullptr ? pinned(output_of(id), stuck[out]) : output_of(id);
+  }
   std::copy(values_.begin(), values_.end(), scheduled_.begin());
   sync_settled();
+  if (obs::enabled()) c_seats().add(1);
 }
 
 void BitParallelSimulator::clock_cycle() {
@@ -387,16 +409,6 @@ void BitParallelSimulator::force_net(NetId net, LogicW value) {
   if (net >= values_.size())
     throw u::Error("force_net: net out of range");
   schedule(net, value, queue_.time());
-  drain_events();
-}
-
-void BitParallelSimulator::force_lanes(NetId net, std::uint64_t lane_mask,
-                                       Logic value) {
-  if (net >= values_.size())
-    throw u::Error("force_lanes: net out of range");
-  // Perturb only the masked lanes; the others keep their present value,
-  // so one fault machine's injection never disturbs its batch-mates.
-  schedule(net, with_lanes(values_[net], lane_mask, value), queue_.time());
   drain_events();
 }
 

@@ -94,8 +94,16 @@ class BitParallelSimulator {
   // ---- execution (same contracts as Simulator, all lanes at once) ----
   void settle();
   // Simulator::seat() on every lane at once: counts nothing, not even in
-  // the active lanes.
+  // the active lanes (only the sim.word_seats pass counter).
   void seat();
+  // The same levelized pass with stuck-at lanes: one StuckLanes per net
+  // (indexed by NetId). Every net's stuck lanes are pinned before the
+  // pass and each instance output is pinned as it is computed, so fanout
+  // reads the stuck values. On a combinational netlist the result is the
+  // unique state in which each unpinned lane of every gate-driven net
+  // equals its cell function of its inputs (per-lane stuck-at fault
+  // machines; see fault.hpp). The pins hold for this pass only.
+  void seat(std::span<const StuckLanes> stuck);
   void clock_cycle();
   void reset_flops(circuit::Logic value = circuit::Logic::zero);
   // Forces a net on all 64 lanes and propagates to quiescence.
@@ -103,11 +111,6 @@ class BitParallelSimulator {
   void force_net(circuit::NetId net, circuit::Logic value) {
     force_net(net, broadcast(value));
   }
-  // Forces only the lanes in `lane_mask` to `value`, leaving the other
-  // lanes' current values in place (per-lane fault injection: each fault
-  // machine perturbs its own lane only).
-  void force_lanes(circuit::NetId net, std::uint64_t lane_mask,
-                   circuit::Logic value);
 
   // ---- clock gating ----
   void set_module_clock_enable(const std::string& module, bool enabled);
@@ -142,6 +145,8 @@ class BitParallelSimulator {
   std::uint64_t drain_events();
   void finish_cycle();
   void sync_settled();
+  // Both seats; `stuck` is null or one StuckLanes per net.
+  void seat_pass(const StuckLanes* stuck);
   void count_transitions(circuit::NetId net, std::uint64_t lanes_changed);
 
   std::shared_ptr<const SimGraph> graph_;

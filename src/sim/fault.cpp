@@ -121,10 +121,12 @@ std::vector<std::size_t> first_detections_scalar(
 }
 
 // Word kernel: batches of (1 good + up to 63 fault) machines share one
-// 64-lane replay. Each batch is independent, so batches parallelize the
-// same way scalar fault machines do; within a batch the per-lane
-// bit-exactness of the word kernel makes lane L's trajectory identical
-// to a scalar FaultySimulator run of that lane's fault.
+// 64-lane simulator. Each batch is independent, so batches parallelize
+// the same way scalar fault machines do. A vector is graded by one
+// pinned seat (BitParallelSimulator::seat with the batch's stuck lanes):
+// on a combinational netlist it lands on the same settled outputs the
+// scalar FaultySimulator reaches by event replay and re-forcing, lane by
+// lane (see fault.hpp), without simulating a single glitch.
 //
 // Batches are re-packed between rounds of geometrically growing vector
 // windows. fault_coverage treats the netlist combinationally, so a
@@ -143,6 +145,9 @@ std::vector<std::size_t> first_detections_word(
   // with it every lane assignment) is deterministic at any thread count.
   std::vector<std::size_t> survivors(faults.size());
   for (std::size_t k = 0; k < faults.size(); ++k) survivors[k] = k;
+  // Every batch starts from a copy of one warmed-up simulator (ties
+  // driven), so a campaign's only event traffic is that warm-up.
+  const BitParallelSimulator warmed{graph};
   std::size_t begin = 0;
   std::size_t window = 16;
   while (!survivors.empty() && begin < vectors.size()) {
@@ -166,23 +171,19 @@ std::vector<std::size_t> first_detections_word(
               count + 1 >= kLaneCount
                   ? kAllLanes
                   : (std::uint64_t{1} << (count + 1)) - 1;
-          BitParallelSimulator sim{graph};
-          const auto reassert = [&] {
-            for (std::size_t f = 0; f < count; ++f) {
-              const Fault& fault = faults[survivors[base + f]];
-              const unsigned lane = static_cast<unsigned>(f + 1);
-              if (lane_of(sim.value(fault.net), lane) != fault.stuck_at)
-                sim.force_lanes(fault.net, std::uint64_t{1} << lane,
-                                fault.stuck_at);
-            }
-          };
-          reassert();
+          BitParallelSimulator sim = warmed;
+          std::vector<StuckLanes> stuck(graph->net_count());
+          for (std::size_t f = 0; f < count; ++f) {
+            const Fault& fault = faults[survivors[base + f]];
+            const std::uint64_t lane = std::uint64_t{1} << (f + 1);
+            StuckLanes& s = stuck[fault.net];
+            (fault.stuck_at == Logic::one ? s.one : s.zero) |= lane;
+          }
           std::vector<std::size_t> batch_first(count, kNeverDetected);
           std::size_t remaining = count;
           for (std::size_t i = begin; i < end && remaining > 0; ++i) {
             sim.set_bus_broadcast(inputs, vectors[i]);
-            sim.settle();
-            reassert();
+            sim.seat(stuck);
             // Detection mask: a lane detects when any output bit is X
             // or disagrees with the good machine (lane 0).
             std::uint64_t detected = 0;

@@ -10,15 +10,30 @@
 //
 // Two kernels produce bit-identical results:
 //
-//   * FaultKernel::scalar — the classic serial loop: one FaultySimulator
-//     per fault, replayed over the whole vector set.
-//   * FaultKernel::word (default) — bit-parallel: each pass of the
-//     64-lane kernel simulates the good machine in lane 0 and up to 63
-//     distinct fault machines in lanes 1-63 (each fault asserted with
-//     BitParallelSimulator::force_lanes on its own lane only), so one
-//     event-kernel replay retires 63 faults. Detection is a word-level
-//     compare at the primary outputs: a fault lane detects when any
-//     output bit is X or differs from the lane-0 value.
+//   * FaultKernel::scalar — the event-driven reference: one
+//     FaultySimulator per fault, replayed glitch by glitch over the whole
+//     vector set (settle, then re-force the stuck net and re-propagate).
+//   * FaultKernel::word (default) — settled-state grading: a batch holds
+//     the good machine in lane 0 and up to 63 distinct fault machines in
+//     lanes 1-63 of one 64-lane BitParallelSimulator. Per vector it
+//     drives the inputs and makes one levelized pass over
+//     SimGraph::comb_order() with the batch's stuck lanes pinned
+//     (BitParallelSimulator::seat(stuck)), so one pass grades 63 faults.
+//     Detection is a word-level compare at the primary outputs: a fault
+//     lane detects when any output bit is X or differs from the lane-0
+//     value.
+//
+// Why the word verdicts are exact. fault_coverage accepts combinational
+// netlists only. After the scalar kernel's settle-and-re-force, every
+// net except the fault net holds its cell function of its inputs (an
+// event-driven settle reaches quiescence; nets never evaluated hold X,
+// and every cell maps all-X inputs to X), and the fault net holds its
+// stuck value. In an acyclic graph that fixed point is unique: fixing
+// the nets level by level from the inputs leaves one choice per net. The
+// pinned pass computes exactly that fixed point for each lane, with the
+// same verified word operators and per-lane LUT fallback the event
+// kernel uses, so each lane's outputs equal the scalar fault machine's.
+// Glitches on the way there never change a settled verdict.
 #pragma once
 
 #include <cstdint>

@@ -81,13 +81,18 @@ constexpr LogicW with_lane(LogicW w, unsigned lane, circuit::Logic v) {
   return w;
 }
 
-// Returns `w` with every lane in `mask` replaced by the known value `v`.
-constexpr LogicW with_lanes(LogicW w, std::uint64_t mask, circuit::Logic v) {
-  w.one &= ~mask;
-  w.x &= ~mask;
-  if (v == circuit::Logic::one) w.one |= mask;
-  else if (v == circuit::Logic::x) w.x |= mask;
-  return w;
+// Stuck-at lanes of one net: lanes in `zero` read a known 0 and lanes in
+// `one` a known 1, whatever the net's driver computes. A lane is in at
+// most one of the two masks.
+struct StuckLanes {
+  std::uint64_t zero = 0;
+  std::uint64_t one = 0;
+};
+
+// Returns `w` with its stuck lanes replaced by their stuck values.
+constexpr LogicW pinned(LogicW w, StuckLanes s) {
+  const std::uint64_t stuck = s.zero | s.one;
+  return {(w.one & ~stuck) | s.one, w.x & ~stuck};
 }
 
 // Lanes whose value is a known 0 / known 1 / either known value.

@@ -293,6 +293,26 @@ TEST_F(Obs, FaultCampaignCountersAreWidthInvariant) {
   const auto vecs = lv::sim::random_vectors(
       48, static_cast<int>(nl.primary_inputs().size()), 7);
   expect_deterministic_report([&] { lv::sim::fault_coverage(nl, vecs); });
+
+  // The word kernel grades each vector with one pinned seat per live
+  // batch and settles nothing. rca8 has 82 faults: the first 16-vector
+  // window runs two batches (63 + 19 faults), each until all its faults
+  // are detected or the window ends, 28 seats together; the survivors,
+  // undetectable ones among them, fill one batch through all 32 vectors
+  // of the second window. The campaign's only events are the tie's
+  // warm-up in the one simulator every batch copies.
+  const o::RunReport r = o::Registry::global().report();
+  const auto counter = [&](const o::RunReport& report, const char* name) {
+    const auto it = report.counters.find(name);
+    return it == report.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter(r, "sim.word_seats"), 28u + 32u);
+  o::Registry::global().reset();
+  const lv::sim::BitParallelSimulator warm_up{nl};
+  EXPECT_EQ(counter(r, "sim.word_events_processed"),
+            counter(o::Registry::global().report(),
+                    "sim.word_events_processed"));
+  EXPECT_EQ(counter(r, "sim.word_settle_calls"), 0u);
 }
 
 TEST_F(Obs, CompiledKernelCountersArePresentAndWidthInvariant) {
@@ -355,14 +375,18 @@ TEST_F(Obs, WorkloadRunnerCountersAreWidthInvariant) {
 
 TEST_F(Obs, WordKernelCountersArePresentAndWidthInvariant) {
   // Same contract for the bit-parallel kernel's "sim.word_*" family: all
-  // Stability::exact (the batch fold is serial in fault order and each
-  // batch's event traffic depends only on the netlist and stimulus).
+  // Stability::exact (each slice's event traffic depends only on the
+  // netlist, its stimulus and the slice geometry, which is fixed by the
+  // vector count). The event kernel is driven through activity replay;
+  // fault campaigns no longer simulate events.
   lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 8);
-  const auto vecs = lv::sim::random_vectors(
-      32, static_cast<int>(nl.primary_inputs().size()), 9);
-  expect_deterministic_report(
-      [&] { lv::sim::fault_coverage(nl, vecs, lv::sim::FaultKernel::word); });
+  const auto ports = lv::circuit::build_ripple_carry_adder(nl, 8);
+  const auto a = lv::sim::random_vectors(300, 8, 9);
+  const auto b = lv::sim::random_vectors(300, 8, 10);
+  expect_deterministic_report([&] {
+    lv::sim::BitParallelSimulator word{nl};
+    lv::sim::run_two_operand_workload(word, ports.a, ports.b, a, b);
+  });
 
   const o::RunReport r = o::Registry::global().report();
   ASSERT_EQ(r.counters.count("sim.word_events_processed"), 1u);

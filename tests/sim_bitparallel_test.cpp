@@ -4,7 +4,7 @@
 // BitParallelSimulator must reproduce, exactly, the trajectory and
 // activity accounting that a scalar Simulator produces when fed that
 // lane's stimulus alone — on every fixture, every delay model, with
-// X-carrying lanes, lane-isolated stuck-at injection, and both word
+// X-carrying lanes, lane-isolated stuck-at pins, and both word
 // evaluation paths (verified direct operators and the per-lane LUT
 // fallback). No tolerances: the word kernel shares the scalar kernel's
 // (time, seq) event order, so equality is exact, not statistical.
@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -84,6 +85,23 @@ void expect_lane_matches_scalar(const c::Netlist& nl,
         << "net '" << nl.net(n).name << "' lane " << lane << " model "
         << model_name(model);
   }
+}
+
+// Every verdict of a fault campaign: counts, the undetected list in
+// fault order and the per-vector first-detection profile.
+void expect_same_verdicts(const s::CoverageResult& got,
+                          const s::CoverageResult& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.total_faults, want.total_faults) << label;
+  EXPECT_EQ(got.detected, want.detected) << label;
+  EXPECT_EQ(got.coverage, want.coverage) << label;
+  ASSERT_EQ(got.undetected.size(), want.undetected.size()) << label;
+  for (std::size_t k = 0; k < got.undetected.size(); ++k) {
+    EXPECT_EQ(got.undetected[k].net, want.undetected[k].net) << label;
+    EXPECT_EQ(got.undetected[k].stuck_at, want.undetected[k].stuck_at)
+        << label;
+  }
+  EXPECT_EQ(got.first_detections, want.first_detections) << label;
 }
 
 }  // namespace
@@ -233,71 +251,142 @@ TEST(SimBitParallel, XCarryingLanesStayLaneExact) {
   }
 }
 
-TEST(SimBitParallel, ForceLanesIsolatesInjectedFaults) {
-  // A stuck-at asserted with force_lanes on lane 3 must match a scalar
-  // FaultySimulator on lane 3 and leave lane 0 identical to the good
-  // machine.
+TEST(SimBitParallel, PinnedSeatIsolatesInjectedFaults) {
+  // Stuck-at-1 on lane 3 and stuck-at-0 on lane 5 of one gate-driven net,
+  // and stuck-at-1 on lane 7 of a primary input, pinned by seat(stuck):
+  // each faulty lane must match a scalar FaultySimulator on every net and
+  // lane 0 the good machine, on both word evaluation paths.
   c::Netlist nl;
   const auto ports = c::build_ripple_carry_adder(nl, 8);
-  const c::NetId victim = ports.sum[2];
   const auto vecs_a = s::random_vectors(20, 8, 91);
   const auto vecs_b = s::random_vectors(20, 8, 92);
-
-  s::BitParallelSimulator word{nl, {}, {.per_lane_stats = true}};
-  const auto reassert = [&] {
-    if (s::lane_of(word.value(victim), 3) != c::Logic::one)
-      word.force_lanes(victim, std::uint64_t{1} << 3, c::Logic::one);
+  const std::pair<unsigned, s::Fault> faults[] = {
+      {3, {ports.sum[2], c::Logic::one}},
+      {5, {ports.sum[2], c::Logic::zero}},
+      {7, {ports.a[0], c::Logic::one}},
   };
-  reassert();
-  s::Simulator good{nl};
-  s::FaultySimulator bad{nl, {victim, c::Logic::one}};
-  for (std::size_t i = 0; i < vecs_a.size(); ++i) {
-    word.set_bus_broadcast(ports.a, vecs_a[i]);
-    word.set_bus_broadcast(ports.b, vecs_b[i]);
-    word.settle();
-    reassert();
-    good.set_bus(ports.a, vecs_a[i]);
-    good.set_bus(ports.b, vecs_b[i]);
-    good.settle();
-    bad.set_bus(ports.a, vecs_a[i]);
-    bad.set_bus(ports.b, vecs_b[i]);
-    bad.settle();
-    std::uint64_t good_out = 0, bad_out = 0, lane0 = 0, lane3 = 0;
-    ASSERT_TRUE(good.read_bus(ports.sum, good_out));
-    ASSERT_TRUE(word.read_bus(ports.sum, 0, lane0));
-    EXPECT_EQ(lane0, good_out) << "vector " << i;
-    ASSERT_TRUE(bad.read_bus(ports.sum, bad_out));
-    ASSERT_TRUE(word.read_bus(ports.sum, 3, lane3));
-    EXPECT_EQ(lane3, bad_out) << "vector " << i;
+  std::vector<s::StuckLanes> stuck(nl.net_count());
+  for (const auto& [lane, fault] : faults)
+    (fault.stuck_at == c::Logic::one ? stuck[fault.net].one
+                                     : stuck[fault.net].zero) |=
+        std::uint64_t{1} << lane;
+
+  for (const bool lut : {false, true}) {
+    s::BitParallelSimulator word{nl, {}, {.force_lut_fallback = lut}};
+    s::Simulator good{nl};
+    std::vector<s::FaultySimulator> bad;
+    for (const auto& [lane, fault] : faults) bad.emplace_back(nl, fault);
+    for (std::size_t i = 0; i < vecs_a.size(); ++i) {
+      word.set_bus_broadcast(ports.a, vecs_a[i]);
+      word.set_bus_broadcast(ports.b, vecs_b[i]);
+      word.seat(stuck);
+      good.set_bus(ports.a, vecs_a[i]);
+      good.set_bus(ports.b, vecs_b[i]);
+      good.settle();
+      for (auto& machine : bad) {
+        machine.set_bus(ports.a, vecs_a[i]);
+        machine.set_bus(ports.b, vecs_b[i]);
+        machine.settle();
+      }
+      for (c::NetId n = 0; n < nl.net_count(); ++n) {
+        ASSERT_EQ(word.value(n, 0), good.value(n))
+            << "lut " << lut << " vector " << i << " net " << n;
+        for (std::size_t f = 0; f < bad.size(); ++f)
+          ASSERT_EQ(word.value(n, faults[f].first), bad[f].value(n))
+              << "lut " << lut << " vector " << i << " net " << n
+              << " lane " << faults[f].first;
+      }
+    }
   }
 }
 
 TEST(SimBitParallel, FaultKernelsAgreeExactly) {
-  // The word campaign (63 fault machines per pass) must reproduce the
-  // scalar serial campaign verbatim: counts, undetected list, and the
-  // per-vector first-detection profile.
-  for (const bool multiplier : {false, true}) {
-    c::Netlist nl;
-    if (multiplier)
-      c::build_array_multiplier(nl, 4);
-    else
-      c::build_ripple_carry_adder(nl, 8);
-    const auto vecs = s::random_vectors(
-        40, static_cast<int>(nl.primary_inputs().size()), 17);
-    const auto scalar = s::fault_coverage(nl, vecs, s::FaultKernel::scalar);
-    const auto word = s::fault_coverage(nl, vecs, s::FaultKernel::word);
-    EXPECT_EQ(word.total_faults, scalar.total_faults);
-    EXPECT_EQ(word.detected, scalar.detected);
-    EXPECT_EQ(word.coverage, scalar.coverage);
-    ASSERT_EQ(word.undetected.size(), scalar.undetected.size());
-    for (std::size_t k = 0; k < word.undetected.size(); ++k) {
-      EXPECT_EQ(word.undetected[k].net, scalar.undetected[k].net);
-      EXPECT_EQ(word.undetected[k].stuck_at, scalar.undetected[k].stuck_at);
+  // The word campaign (63 fault machines per levelized pass over settled
+  // values) must reproduce the scalar event-driven campaign verbatim on
+  // every kind `lvtool gen` produces, at every exec width. At width 16
+  // the scalar reference (whose own width invariance ScheduleDeterminism
+  // pins) runs once, on 4 vectors: the array multiplier's glitch storms
+  // cost it ~0.5 ms per settle there.
+  using Build = void (*)(c::Netlist&, int);
+  const std::pair<const char*, Build> kinds[] = {
+      {"rca", [](c::Netlist& nl, int w) { c::build_ripple_carry_adder(nl, w); }},
+      {"cla", [](c::Netlist& nl, int w) { c::build_carry_lookahead_adder(nl, w); }},
+      {"csel", [](c::Netlist& nl, int w) { c::build_carry_select_adder(nl, w); }},
+      {"ks", [](c::Netlist& nl, int w) { c::build_kogge_stone_adder(nl, w); }},
+      {"mul", [](c::Netlist& nl, int w) { c::build_array_multiplier(nl, w); }},
+      {"shifter", [](c::Netlist& nl, int w) { c::build_barrel_shifter(nl, w); }},
+      {"alu", [](c::Netlist& nl, int w) { c::build_alu(nl, w); }},
+      {"cskip", [](c::Netlist& nl, int w) { c::build_carry_skip_adder(nl, w); }},
+      {"wmul", [](c::Netlist& nl, int w) { c::build_wallace_multiplier(nl, w); }},
+  };
+  for (const auto& [kind, build] : kinds) {
+    for (const int width : {4, 8, 16}) {
+      c::Netlist nl;
+      build(nl, width);
+      const std::size_t inputs = nl.primary_inputs().size();
+      ASSERT_LE(inputs, 64u) << kind << width;
+      const auto vecs = s::random_vectors(width == 16 ? 4 : 40,
+                                          static_cast<int>(inputs),
+                                          17 + static_cast<unsigned>(width));
+      const std::string label = kind + std::to_string(width);
+      lv::exec::set_thread_count(8);
+      const auto scalar = s::fault_coverage(nl, vecs, s::FaultKernel::scalar);
+      ASSERT_EQ(scalar.first_detections.size(), vecs.size());
+      for (const std::size_t exec_width : {1u, 2u, 8u}) {
+        lv::exec::set_thread_count(exec_width);
+        const std::string at = label + " width " + std::to_string(exec_width);
+        expect_same_verdicts(s::fault_coverage(nl, vecs, s::FaultKernel::word),
+                             scalar, at + " word");
+        if (width != 16)
+          expect_same_verdicts(
+              s::fault_coverage(nl, vecs, s::FaultKernel::scalar), scalar,
+              at + " scalar");
+      }
     }
-    ASSERT_EQ(word.first_detections.size(), vecs.size());
-    ASSERT_EQ(scalar.first_detections.size(), vecs.size());
-    EXPECT_EQ(word.first_detections, scalar.first_detections);
   }
+  lv::exec::set_thread_count(0);  // restore the default
+}
+
+TEST(SimBitParallel, FaultKernelsAgreeOnHandBuiltCorners) {
+  // A tie cell, faults on primary-output nets, undetectable faults, and
+  // stuck-at-0 and stuck-at-1 of every net side by side in one batch
+  // (enumerate_faults lists them adjacently and there are fewer than 63).
+  c::Netlist nl;
+  const auto a = nl.add_input("a");
+  const auto b = nl.add_input("b");
+  const auto cin = nl.add_input("c");
+  const auto t = nl.add_gate(c::CellKind::tie1, "t", {});
+  const auto ab = nl.add_gate(c::CellKind::and2, "g_ab", {a, b});
+  const auto ac = nl.add_gate(c::CellKind::and2, "g_ac", {a, cin});
+  const auto r = nl.add_gate(c::CellKind::or2, "g_r", {a, ac});  // == a
+  const auto y1 = nl.add_gate(c::CellKind::and2, "g_y1", {r, t});
+  const auto y2 = nl.add_gate(c::CellKind::xor2, "g_y2", {cin, ab});
+  const auto nb = nl.add_gate(c::CellKind::inv, "g_nb", {b});
+  const auto y3 = nl.add_gate(c::CellKind::nand2, "g_y3", {nb, t});
+  nl.mark_output(y1);
+  nl.mark_output(y2);
+  nl.mark_output(y3);
+  std::vector<std::uint64_t> vecs;  // exhaustive, twice
+  for (int rep = 0; rep < 2; ++rep)
+    for (std::uint64_t v = 0; v < 8; ++v) vecs.push_back(v);
+
+  const auto scalar = s::fault_coverage(nl, vecs, s::FaultKernel::scalar);
+  for (const std::size_t exec_width : {1u, 2u, 8u}) {
+    lv::exec::set_thread_count(exec_width);
+    expect_same_verdicts(s::fault_coverage(nl, vecs, s::FaultKernel::word),
+                         scalar, "width " + std::to_string(exec_width));
+  }
+  lv::exec::set_thread_count(0);
+
+  // Undetectable: the tie stuck at its own value, and the redundant AND
+  // of a OR (a AND c) stuck at 0. Everything else is caught, including
+  // the tie stuck at 0, that AND stuck at 1 and every output fault.
+  EXPECT_EQ(scalar.total_faults, 2u * 8u);
+  ASSERT_EQ(scalar.undetected.size(), 2u);
+  EXPECT_EQ(scalar.undetected[0].net, t);
+  EXPECT_EQ(scalar.undetected[0].stuck_at, c::Logic::one);
+  EXPECT_EQ(scalar.undetected[1].net, ac);
+  EXPECT_EQ(scalar.undetected[1].stuck_at, c::Logic::zero);
 }
 
 TEST(SimBitParallel, FirstDetectionsProfileSumsToDetected) {
@@ -554,7 +643,9 @@ TEST(SimBitParallel, RejectsBadLaneAndBusUsage) {
   const std::vector<std::uint64_t> too_many(65, 0);
   EXPECT_THROW(sim.set_bus(ports.a, too_many), lv::util::Error);
   EXPECT_THROW(sim.set_input(ports.sum[0], c::Logic::one), lv::util::Error);
-  EXPECT_THROW(sim.force_lanes(static_cast<c::NetId>(nl.net_count()), 1,
-                               c::Logic::one),
-               lv::util::Error);
+  // The pinned seat takes exactly one StuckLanes per net.
+  const std::vector<s::StuckLanes> too_few(nl.net_count() - 1);
+  const std::vector<s::StuckLanes> one_extra(nl.net_count() + 1);
+  EXPECT_THROW(sim.seat(too_few), lv::util::Error);
+  EXPECT_THROW(sim.seat(one_extra), lv::util::Error);
 }

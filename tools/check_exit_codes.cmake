@@ -4,8 +4,10 @@
 file(MAKE_DIRECTORY ${WORK})
 set(NETLIST ${WORK}/check_adder.lvnet)
 
+# Every run must finish within TIMEOUT seconds; a run cut off there
+# fails with rc "Process terminated due to timeout".
 function(expect_exit expected)
-  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc
+  execute_process(COMMAND ${ARGN} RESULT_VARIABLE rc TIMEOUT 30
                   OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL ${expected})
     message(FATAL_ERROR "expected exit ${expected}, got ${rc}: ${ARGN}\n"
@@ -61,3 +63,13 @@ expect_exit(2 ${LVTOOL} check ${WORK}/gap.lvnet --strict)
 
 # Unknown subcommand is a usage (input) error, not an internal one.
 expect_exit(2 ${LVTOOL} frobnicate)
+
+# Every design `gen` produces is processed: stuck-at campaigns on the 16-
+# and 32-bit array multipliers (32 and 64 inputs) with the default
+# kernel finish in well under a second. They grade settled values, so
+# the multipliers' glitch storms cost nothing.
+foreach(width 16 32)
+  expect_exit(0 ${LVTOOL} gen mul ${width} -o ${WORK}/mul${width}.lvnet)
+  expect_exit(0 ${LVTOOL} faults ${WORK}/mul${width}.lvnet)
+  expect_match("${LAST_OUT}" "stuck-at faults: [0-9]+; detected")
+endforeach()

@@ -198,6 +198,8 @@ void usage() {
       "  techfile <tech>\n"
       "  glitch <netlist> <tech> [--vectors N] [--vdd V]\n"
       "  faults <netlist> [--vectors N] [--kernel word|scalar]\n"
+      "         # word: settled-state grading, 63 faults per pass;\n"
+      "         # scalar: the event-driven reference, one per fault\n"
       "  paths <netlist> <tech> [--k N] [--vdd V]\n"
       "  sizing <netlist> <tech> [--margin M] [--min-size S]\n"
       "  optimize <netlist> [-o file]\n"
