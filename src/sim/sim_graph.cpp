@@ -5,7 +5,6 @@
 #include <bitset>
 
 #include "obs/metrics.hpp"
-#include "sim/graph_access.hpp"
 #include "sim/word_logic.hpp"
 
 namespace lv::sim {
@@ -127,14 +126,6 @@ verified_word_kinds() {
 
 }  // namespace
 
-const std::vector<SimGraph::Lut>& detail::GraphAccess::builtin_luts() {
-  return kind_luts();
-}
-
-bool detail::GraphAccess::word_direct_verified(circuit::CellKind kind) {
-  return verified_word_kinds()[static_cast<std::size_t>(kind)];
-}
-
 SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
   lv::obs::ScopedTimer compile_timer{t_graph_compile()};
   netlist.validate();
@@ -220,9 +211,7 @@ SimGraph::SimGraph(const circuit::Netlist& netlist) : netlist_{netlist} {
 void SimGraph::levelize() {
   // Kahn's algorithm over the eval CSR: an instance is placed once every
   // combinational driver of its input pins is placed, so the order runs
-  // level by level from the primary inputs, flop outputs and ties. Only
-  // bounds-checked arrays are read, so a decoded graph cannot make this
-  // loop misbehave.
+  // level by level from the primary inputs, flop outputs and ties.
   const std::size_t inst_count = nodes_.size();
   std::vector<std::uint32_t> waiting(inst_count, 0);
   const auto consumers = [&](InstanceId d, auto&& visit) {

@@ -39,10 +39,6 @@
 
 namespace lv::sim {
 
-namespace detail {
-struct GraphAccess;
-}
-
 struct SimConfig {
   enum class DelayModel {
     zero,  // all gates settle instantaneously (no glitches modelled)
@@ -144,8 +140,7 @@ class SimGraph {
   // comes after the combinational drivers of all its inputs. Evaluating
   // the instances once in this order brings every gate-driven net to its
   // quiescent value (the slice seat, Simulator::seat). Filled by compile,
-  // by lv-graph/1 decode and by incremental recompile, so workers never
-  // need the netlist's lazy topo_order() cache.
+  // so workers never need the netlist's lazy topo_order() cache.
   const std::vector<circuit::InstanceId>& comb_order() const {
     return comb_order_;
   }
@@ -164,15 +159,6 @@ class SimGraph {
   SimGraph& operator=(const SimGraph&) = delete;
 
  private:
-  // Deserialization / incremental-recompile backdoor (graph_access.hpp):
-  // constructs an *empty* graph over `netlist` whose arrays are then
-  // installed directly, bypassing validate() and the compile pass. Only
-  // detail::GraphAccess can reach it, and only from blobs whose content
-  // hash already vouched for the netlist.
-  struct RawTag {};
-  SimGraph(RawTag, const circuit::Netlist& netlist) : netlist_{netlist} {}
-  friend struct detail::GraphAccess;
-
   // Fills comb_order_ from nodes_ and the eval CSR; throws on a
   // combinational cycle.
   void levelize();

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <system_error>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "util/binio.hpp"
@@ -18,12 +20,11 @@ namespace fs = std::filesystem;
 namespace {
 
 // Fault-injection sites (docs/RESILIENCE.md). Every durability claim the
-// store makes — atomic publish, corrupt read = miss+delete, best-effort
-// group index — is exercised by firing these under test/chaos load.
+// store makes — atomic publish, corrupt read = miss+delete, deferred
+// eviction — is exercised by firing these under test/chaos load.
 lv::failpoint::Site fp_read{"store.read"};
 lv::failpoint::Site fp_temp_write{"store.temp_write"};
 lv::failpoint::Site fp_rename{"store.rename"};
-lv::failpoint::Site fp_group_write{"store.group_write"};
 lv::failpoint::Site fp_sweep_unlink{"store.sweep_unlink"};
 
 // Disk state persists across runs, so every store counter is a
@@ -62,7 +63,6 @@ lv::obs::Counter& c_sweep_skipped_busy() {
 
 constexpr char kMagic[4] = {'L', 'V', 'S', 'T'};
 constexpr std::uint32_t kEntryVersion = 1;
-constexpr std::size_t kMaxGroupIndexKeys = 64;
 
 std::optional<std::string> read_file(const fs::path& p) {
   std::ifstream in{p, std::ios::binary};
@@ -71,24 +71,6 @@ std::optional<std::string> read_file(const fs::path& p) {
                    std::istreambuf_iterator<char>{}};
   if (in.bad()) return std::nullopt;
   return data;
-}
-
-bool is_hex32(std::string_view s) {
-  if (s.size() != 32) return false;
-  for (const char c : s)
-    if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  return true;
-}
-
-Key128 parse_hex32(std::string_view s) {
-  auto nibble = [](char c) -> std::uint64_t {
-    return c <= '9' ? static_cast<std::uint64_t>(c - '0')
-                    : static_cast<std::uint64_t>(c - 'a' + 10);
-  };
-  Key128 k;
-  for (std::size_t i = 0; i < 16; ++i) k.hi = (k.hi << 4) | nibble(s[i]);
-  for (std::size_t i = 16; i < 32; ++i) k.lo = (k.lo << 4) | nibble(s[i]);
-  return k;
 }
 
 }  // namespace
@@ -102,12 +84,6 @@ ArtifactStore::ArtifactStore(StoreOptions options)
 fs::path ArtifactStore::entry_path(std::string_view kind,
                                    const Key128& key) const {
   return options_.dir / std::string{kind} / (to_hex(key) + ".lvart");
-}
-
-fs::path ArtifactStore::group_path(std::string_view kind,
-                                   std::string_view group) const {
-  return options_.dir / (std::string{kind} + "@groups") /
-         (std::string{group} + ".keys");
 }
 
 std::optional<std::string> ArtifactStore::get(std::string_view kind,
@@ -162,7 +138,7 @@ std::optional<std::string> ArtifactStore::get(std::string_view kind,
 }
 
 bool ArtifactStore::put(std::string_view kind, const Key128& key,
-                        std::string_view payload, std::string_view group) {
+                        std::string_view payload) {
   util::ByteWriter w;
   w.bytes(std::string_view{kMagic, 4});
   w.u32(kEntryVersion);
@@ -228,45 +204,6 @@ bool ArtifactStore::put(std::string_view kind, const Key128& key,
   }
   c_writes().add(1);
 
-  // Injected index-write failure loses only advisory data: the entry
-  // itself is already live, so the put still reports success.
-  if (!group.empty() &&
-      fp_group_write.fire().action == failpoint::Action::none) {
-    // Read-modify-write of the advisory group index: newest key first,
-    // deduplicated, capped. In-process writers serialize on group_mu_;
-    // a cross-process race can drop a line, which only costs a missed
-    // incremental-base candidate.
-    std::lock_guard<std::mutex> lock{group_mu_};
-    const fs::path gpath = group_path(kind, group);
-    fs::create_directories(gpath.parent_path(), ec);
-    const std::string hex = to_hex(key);
-    std::vector<std::string> lines{hex};
-    if (const auto existing = read_file(gpath)) {
-      std::size_t pos = 0;
-      while (pos < existing->size() && lines.size() < kMaxGroupIndexKeys) {
-        std::size_t nl = existing->find('\n', pos);
-        if (nl == std::string::npos) nl = existing->size();
-        const std::string line = existing->substr(pos, nl - pos);
-        pos = nl + 1;
-        if (is_hex32(line) && line != hex) lines.push_back(line);
-      }
-    }
-    const fs::path gtmp = gpath.parent_path() /
-                          (".tmp-" + std::to_string(::getpid()) + "-" +
-                           std::to_string(seq));
-    std::ofstream out{gtmp, std::ios::binary | std::ios::trunc};
-    if (out) {
-      for (const auto& line : lines) out << line << '\n';
-      out.flush();
-      const bool ok = static_cast<bool>(out);
-      out.close();
-      if (ok)
-        fs::rename(gtmp, gpath, ec);
-      else
-        fs::remove(gtmp, ec);
-    }
-  }
-
   if (options_.max_bytes > 0) sweep();
   return true;
 }
@@ -274,26 +211,6 @@ bool ArtifactStore::put(std::string_view kind, const Key128& key,
 void ArtifactStore::remove(std::string_view kind, const Key128& key) {
   std::error_code ec;
   fs::remove(entry_path(kind, key), ec);
-}
-
-std::vector<Key128> ArtifactStore::group_keys(std::string_view kind,
-                                              std::string_view group) const {
-  std::vector<Key128> keys;
-  std::optional<std::string> data;
-  {
-    std::lock_guard<std::mutex> lock{group_mu_};
-    data = read_file(group_path(kind, group));
-  }
-  if (!data) return keys;
-  std::size_t pos = 0;
-  while (pos < data->size()) {
-    std::size_t nl = data->find('\n', pos);
-    if (nl == std::string::npos) nl = data->size();
-    const std::string_view line{data->data() + pos, nl - pos};
-    pos = nl + 1;
-    if (is_hex32(line)) keys.push_back(parse_hex32(line));
-  }
-  return keys;
 }
 
 StoreStats ArtifactStore::stats() const {
@@ -312,20 +229,15 @@ StoreStats ArtifactStore::stats() const {
 }
 
 std::uint64_t ArtifactStore::clear() {
-  std::uint64_t removed = 0;
   std::error_code ec;
   std::vector<fs::path> victims;
   for (fs::recursive_directory_iterator it{options_.dir, ec}, end;
        !ec && it != end; it.increment(ec)) {
-    if (!it->is_regular_file(ec)) continue;
-    const auto ext = it->path().extension();
-    if (ext == ".lvart" || ext == ".keys") victims.push_back(it->path());
+    if (it->is_regular_file(ec) && it->path().extension() == ".lvart")
+      victims.push_back(it->path());
   }
-  for (const auto& p : victims) {
-    removed += p.extension() == ".lvart" ? 1u : 0u;
-    fs::remove(p, ec);
-  }
-  return removed;
+  for (const auto& p : victims) fs::remove(p, ec);
+  return victims.size();
 }
 
 void ArtifactStore::sweep() { sweep_with_pause({}); }

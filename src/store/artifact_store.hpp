@@ -1,26 +1,24 @@
 // Cross-session, on-disk content-addressed artifact cache.
 //
-// Everything expensive this system computes — SimGraph compilation,
-// AnalysisContext memo tables — is a pure function of its input bytes,
-// which makes compiled artifacts perfectly cacheable by content (the
-// ccache pattern). ArtifactStore maps (kind, 128-bit content key) to an
-// opaque payload under a cache directory:
+// ArtifactStore maps (kind, 128-bit content key) to an opaque payload
+// under a cache directory, one entry per file (the ccache pattern):
 //
-//   <dir>/<kind>/<32-hex-key>.lvart          one entry per file
-//   <dir>/<kind>@groups/<32-hex-group>.keys  optional group index
+//   <dir>/<kind>/<32-hex-key>.lvart
+//
+// Its one client is the Session's AnalysisContext memo bank (kind
+// "memos", keyed by process identity), which lets a restarted server or
+// a repeat CLI run start from the device-model memo tables an earlier
+// process filled. Netlists and compiled graphs are not stored: a parse
+// costs what reading a stored netlist back would, and compiling a graph
+// is cheaper than decoding one.
 //
 // Entries are self-verifying (magic, version, kind, key, length, FNV-1a
 // trailer checksum): a reader that finds anything off treats the entry
-// as a miss and deletes it — a corrupt cache can cost a recompile, never
+// as a miss and deletes it — a corrupt cache can cost a recompute, never
 // a wrong answer. Writes go to a temp file and rename into place, so
 // concurrent writers and readers (including other processes) only ever
 // observe complete entries. A size-budgeted LRU sweep (by mtime; get()
 // touches) keeps the directory bounded.
-//
-// Group indexes let a reader enumerate sibling keys (e.g. "designs with
-// this structural shape") to find an incremental-recompile base. The
-// index is advisory: lossy updates are fine because every key it lists
-// is re-verified through the normal checked read path.
 //
 // All methods are safe to call from multiple threads and multiple
 // processes at once; failures of the underlying filesystem degrade to
@@ -31,12 +29,10 @@
 #include <filesystem>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "store/hash.hpp"
 
@@ -67,26 +63,18 @@ class ArtifactStore {
   // (store.corrupt). Hits bump the entry's mtime (LRU recency).
   std::optional<std::string> get(std::string_view kind, const Key128& key);
 
-  // Atomic write (temp file + rename). `group`, when non-empty, also
-  // records the key in the kind's group index under that name. Sweeps
-  // afterwards if a budget is set. Returns false if the filesystem
-  // refused (cache stays best-effort).
-  bool put(std::string_view kind, const Key128& key, std::string_view payload,
-           std::string_view group = {});
+  // Atomic write (temp file + rename). Sweeps afterwards if a budget is
+  // set. Returns false if the filesystem refused (cache stays
+  // best-effort).
+  bool put(std::string_view kind, const Key128& key, std::string_view payload);
 
-  // Delete one entry (e.g. a decodable-no-longer entry after a codec
-  // version bump). Missing entry is not an error.
+  // Delete one entry. Missing entry is not an error.
   void remove(std::string_view kind, const Key128& key);
-
-  // Keys listed in a group index, most recently added first. Keys are
-  // advisory — entries may have been evicted since.
-  std::vector<Key128> group_keys(std::string_view kind,
-                                 std::string_view group) const;
 
   // Walks the directory. entries/bytes cover *.lvart files only.
   StoreStats stats() const;
 
-  // Removes every entry and group index. Returns entries removed.
+  // Removes every entry. Returns entries removed.
   std::uint64_t clear();
 
   // LRU sweep down to max_bytes (oldest mtime evicted first; ties broken
@@ -106,13 +94,8 @@ class ArtifactStore {
  private:
   std::filesystem::path entry_path(std::string_view kind,
                                    const Key128& key) const;
-  std::filesystem::path group_path(std::string_view kind,
-                                   std::string_view group) const;
 
   StoreOptions options_;
-  // Serializes group-index read-modify-write within this process; cross-
-  // process races can lose an index line, which is safe (advisory data).
-  mutable std::mutex group_mu_;
   std::uint64_t temp_seq_ = 0;
   std::mutex temp_mu_;
 };

@@ -3,13 +3,10 @@
 // Cache keys must survive across processes and machines, so the store
 // uses MurmurHash3 x64/128 — a stable, well-distributed 128-bit digest —
 // rather than the in-memory 64-bit FNV-1a the Session buckets use. 128
-// bits makes accidental collisions astronomically unlikely, but the
-// store still never *trusts* the key: design entries embed the original
-// text and readers verify it byte-for-byte before reuse (a collision can
-// cost a reparse, never a wrong answer).
+// bits makes accidental collisions astronomically unlikely.
 //
-// FieldHasher builds composite keys from several inputs (netlist bytes,
-// process bytes, compile options) by length-prefixing each field before
+// FieldHasher builds composite keys from several inputs (tool version,
+// process name or bytes) by length-prefixing each field before
 // digesting, so ("ab","c") and ("a","bc") never alias.
 #pragma once
 

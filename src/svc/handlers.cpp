@@ -64,6 +64,13 @@ namespace u = lv::util;
 
 // ---- input resolution -------------------------------------------------
 
+// A wrong positional-argument count is a usage error: exit 2, coded
+// cli.option like every other bad option.
+void require_args(const Params& args, std::size_t count, const char* usage) {
+  if (args.positional.size() != count)
+    throw chk::InputError(chk::codes::cli_option, usage);
+}
+
 // Inline payload (server mode) if the client shipped one under `role`,
 // else the local file at `path` (CLI mode / server-local paths).
 std::string source_text(const Request& req, const char* role,
@@ -151,7 +158,7 @@ lv::sim::Simulator simulate_random(const Session::Design& design,
 Response op_gen(ServiceContext&, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "gen needs <kind> <width>");
+  require_args(args, 2, "gen needs <kind> <width>");
   const std::string kind = args.positional[0];
   const int width =
       static_cast<int>(chk::require_int(args.positional[1], "<width>"));
@@ -182,7 +189,7 @@ Response op_gen(ServiceContext&, const Request& req) {
 Response op_stats(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "stats needs <netlist>");
+  require_args(args, 1, "stats needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   appendf(r.out,
@@ -209,7 +216,7 @@ Response op_stats(ServiceContext& ctx, const Request& req) {
 Response op_simulate(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "simulate needs <netlist>");
+  require_args(args, 1, "simulate needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto vectors = static_cast<std::size_t>(
@@ -283,7 +290,7 @@ Response op_simulate(ServiceContext& ctx, const Request& req) {
 Response op_power(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "power needs <netlist> <tech>");
+  require_args(args, 2, "power needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -325,7 +332,7 @@ Response op_power(ServiceContext& ctx, const Request& req) {
 Response op_timing(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "timing needs <netlist> <tech>");
+  require_args(args, 2, "timing needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -352,7 +359,7 @@ Response op_timing(ServiceContext& ctx, const Request& req) {
 Response op_dualvt(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "dualvt needs <netlist> <tech>");
+  require_args(args, 2, "dualvt needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -372,7 +379,7 @@ Response op_dualvt(ServiceContext& ctx, const Request& req) {
 Response op_optimize_vt(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "optimize-vt needs <tech>");
+  require_args(args, 1, "optimize-vt needs <tech>");
   const auto tech = load_process(ctx, req, args.positional[0]);
   const double f_clk = args.positive("--fclk", 5e6);
   const double activity = args.number("--activity", 1.0);
@@ -398,7 +405,7 @@ Response op_optimize_vt(ServiceContext& ctx, const Request& req) {
 Response op_profile(ServiceContext&, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "profile needs <workload>");
+  require_args(args, 1, "profile needs <workload>");
   const std::string name = args.positional[0];
   const auto gap = static_cast<std::uint64_t>(args.number("--gap", 0));
   const int blocks = static_cast<int>(args.number("--blocks", 16));
@@ -429,7 +436,7 @@ Response op_profile(ServiceContext&, const Request& req) {
 Response op_techfile(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "techfile needs <tech>");
+  require_args(args, 1, "techfile needs <tech>");
   r.out += lv::tech::to_techfile(*load_process(ctx, req, args.positional[0]));
   return r;
 }
@@ -437,7 +444,7 @@ Response op_techfile(ServiceContext& ctx, const Request& req) {
 Response op_glitch(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "glitch needs <netlist> <tech>");
+  require_args(args, 2, "glitch needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -463,7 +470,7 @@ Response op_glitch(ServiceContext& ctx, const Request& req) {
 Response op_faults(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "faults needs <netlist>");
+  require_args(args, 1, "faults needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto vectors =
@@ -520,7 +527,7 @@ Response op_faults(ServiceContext& ctx, const Request& req) {
 Response op_paths(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "paths needs <netlist> <tech>");
+  require_args(args, 2, "paths needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -543,7 +550,7 @@ Response op_paths(ServiceContext& ctx, const Request& req) {
 Response op_sizing(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 2, "sizing needs <netlist> <tech>");
+  require_args(args, 2, "sizing needs <netlist> <tech>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   const auto tech = load_process(ctx, req, args.positional[1]);
@@ -565,7 +572,7 @@ Response op_sizing(ServiceContext& ctx, const Request& req) {
 Response op_optimize(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "optimize needs <netlist>");
+  require_args(args, 1, "optimize needs <netlist>");
   const auto design = load_design(ctx, req, args.positional[0]);
   const c::Netlist& nl = design->netlist();
   c::TransformStats stats;
@@ -589,7 +596,7 @@ Response op_optimize(ServiceContext& ctx, const Request& req) {
 Response op_check(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "check needs <file>");
+  require_args(args, 1, "check needs <file>");
   const std::string& path = args.positional[0];
   const std::string text = source_text(req, "file", path);
 
@@ -681,7 +688,7 @@ Response op_failpoints(ServiceContext&, const Request&) {
 Response op_cache(ServiceContext& ctx, const Request& req) {
   const Params& args = req.params;
   Response r;
-  u::require(args.positional.size() == 1, "cache needs stats|clear");
+  require_args(args, 1, "cache needs stats|clear");
   const std::string& sub = args.positional[0];
   lv::store::ArtifactStore* store = ctx.session.store();
   if (sub == "stats") {

@@ -4,10 +4,6 @@
 
 #include "check/ingest.hpp"
 #include "obs/metrics.hpp"
-#include "sim/graph_delta.hpp"
-#include "sim/graph_io.hpp"
-#include "store/design_codec.hpp"
-#include "util/error.hpp"
 
 namespace lv::svc {
 
@@ -35,15 +31,13 @@ lv::obs::Counter& cache_dedups() {
       "svc.cache_dedups", lv::obs::Stability::scheduling);
   return c;
 }
-// Actual text-parser runs — the warm-path acceptance signal: a restart
-// over a populated store must keep this at zero.
+// Actual text-parser runs: every session-cache miss is one.
 lv::obs::Counter& netlist_parses() {
   static auto& c = lv::obs::Registry::global().counter(
       "svc.netlist_parses", lv::obs::Stability::scheduling);
   return c;
 }
 
-constexpr char kDesignKind[] = "design";
 constexpr char kMemosKind[] = "memos";
 
 }  // namespace
@@ -57,92 +51,11 @@ std::uint64_t content_hash(std::string_view text) {
   return h;
 }
 
-std::shared_ptr<const sim::SimGraph> Session::Design::compiled() const {
-  std::lock_guard<std::mutex> lock{mu_};
-  return graph_;
-}
-
 std::shared_ptr<const sim::SimGraph> Session::Design::graph() const {
   std::lock_guard<std::mutex> lock{mu_};
-  if (graph_ != nullptr) return graph_;
-
-  // Incremental path: a same-shape sibling that already compiled lets us
-  // patch its graph instead of compiling from scratch. Snapshot only —
-  // never force the base to compile (that would just move the cost).
-  if (base_ != nullptr) {
-    if (const auto base_graph = base_->compiled()) {
-      const sim::GraphDelta delta =
-          sim::diff_netlists(base_->netlist_, netlist_);
-      graph_ = sim::recompile_incremental(*base_graph, netlist_, delta);
-    }
-    base_.reset();  // one shot; also breaks revision chains
-  }
   if (graph_ == nullptr)
     graph_ = std::make_shared<const sim::SimGraph>(netlist_);
-
-  // Publish the compiled form so the next process starts warm. The
-  // shape group lets future revisions find this entry as a base.
-  if (store_ != nullptr)
-    store_->put(kDesignKind, store_key_,
-                store::encode_design(text_, netlist_, graph_.get()),
-                store::to_hex(shape_));
   return graph_;
-}
-
-std::shared_ptr<Session::Design> Session::design_from_store(
-    const std::string& text) {
-  const store::Key128 key = store::design_key(text);
-  auto payload = options_.store->get(kDesignKind, key);
-  if (!payload) return nullptr;
-  auto decoded = store::decode_design(*payload);
-  if (!decoded || decoded->text != text) {
-    // Undecodable (codec drift) or a 128-bit collision: either way the
-    // entry cannot serve this request — drop it and reparse.
-    options_.store->remove(kDesignKind, key);
-    return nullptr;
-  }
-  auto design = std::make_shared<Design>(std::move(decoded->netlist), text);
-  design->store_ = options_.store;
-  design->store_key_ = key;
-  design->shape_ = store::shape_key(design->netlist_);
-  if (!decoded->graph_blob.empty()) {
-    try {
-      design->graph_ = sim::decode_graph(design->netlist_,
-                                         decoded->graph_blob);
-    } catch (const util::Error&) {
-      // Stale graph blob inside an otherwise-valid entry: recompile
-      // lazily rather than failing the request.
-    }
-  }
-  return design;
-}
-
-std::shared_ptr<const Session::Design> Session::find_base(
-    const store::Key128& key, const store::Key128& shape) {
-  const std::string shape_hex = store::to_hex(shape);
-  {
-    std::lock_guard<std::mutex> lock{mu_};
-    if (const auto it = by_shape_.find(shape_hex); it != by_shape_.end())
-      if (auto base = it->second.lock()) return base;
-  }
-  // Store group index: sibling revisions of this shape, newest first.
-  for (const store::Key128& sibling :
-       options_.store->group_keys(kDesignKind, shape_hex)) {
-    if (sibling == key) continue;
-    const auto payload = options_.store->get(kDesignKind, sibling);
-    if (!payload) continue;
-    auto decoded = store::decode_design(*payload);
-    if (!decoded || decoded->graph_blob.empty()) continue;
-    auto base = std::make_shared<Design>(std::move(decoded->netlist),
-                                         std::move(decoded->text));
-    try {
-      base->graph_ = sim::decode_graph(base->netlist_, decoded->graph_blob);
-    } catch (const util::Error&) {
-      continue;
-    }
-    return base;
-  }
-  return nullptr;
 }
 
 std::shared_ptr<const Session::Design> Session::insert_design(
@@ -161,8 +74,6 @@ std::shared_ptr<const Session::Design> Session::insert_design(
   bucket.push_back(
       {text, design, text.size() + kEntryOverhead, ++use_clock_});
   cached_bytes_ += bucket.back().bytes;
-  if (options_.store != nullptr)
-    by_shape_[store::to_hex(design->shape_)] = design;
   evict_locked();
   return design;
 }
@@ -246,29 +157,12 @@ std::shared_ptr<const Session::Design> Session::netlist(
   }
   cache_misses().add(1);
 
-  // Cross-session store, then the parser — all outside the lock: ingest
-  // is the expensive part, and holding the session mutex across it would
-  // serialize every worker on one slow upload.
-  if (options_.store != nullptr) {
-    if (auto design = design_from_store(text))
-      return insert_design(key, text, std::move(design));
-  }
-
+  // Parse outside the lock: ingest is the expensive part, and holding the
+  // session mutex across it would serialize every worker on one slow
+  // upload.
   netlist_parses().add(1);
-  auto design = std::make_shared<Design>(
-      check::require_netlist(text, origin), text);
-  if (options_.store != nullptr) {
-    design->store_ = options_.store;
-    design->store_key_ = store::design_key(text);
-    design->shape_ = store::shape_key(design->netlist_);
-    // Publish the parse now (pre-compile) so even non-simulating ops
-    // warm the store; graph() republishes with the compiled graph.
-    options_.store->put(
-        kDesignKind, design->store_key_,
-        store::encode_design(text, design->netlist_, nullptr),
-        store::to_hex(design->shape_));
-    design->base_ = find_base(design->store_key_, design->shape_);
-  }
+  auto design =
+      std::make_shared<const Design>(check::require_netlist(text, origin));
   return insert_design(key, text, std::move(design));
 }
 

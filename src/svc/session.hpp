@@ -1,21 +1,19 @@
-// Per-session cached parse/compile state, optionally backed by the
-// cross-session artifact store.
+// Per-session cached parse/compile state.
 //
 // Power-exploration traffic is iterative: many requests against the same
 // netlist/tech baseline, varying only operating points. A Session keys
 // parsed netlists (plus their lazily compiled sim::SimGraph) and parsed
 // processes by a 64-bit content hash, so the second request over the
-// same bytes skips ingest and graph compilation entirely. Hash matches
-// are verified against the stored text before reuse — a collision can
-// cost a reparse, never a wrong answer.
+// same bytes in one session skips ingest and graph compilation. Hash
+// matches are verified against the stored text before reuse — a
+// collision can cost a reparse, never a wrong answer. A request the
+// session has not seen parses its netlist through check::require_netlist
+// and compiles the graph only if it simulates.
 //
 // When constructed over an lv::store::ArtifactStore, the session also
-// consults the on-disk cache on a miss (decode instead of parse+compile;
-// store.hits) and publishes what it parses/compiles back (so the next
-// process starts warm), including AnalysisContext memo tables per
-// process. A miss whose *shape* matches a stored sibling revision
-// compiles incrementally from that base (sim::recompile_incremental)
-// instead of from scratch.
+// keeps the AnalysisContext memo bank there (one "memos" entry per
+// process), so the next process starts from the device-model tables this
+// one filled. Designs are not stored (see store/artifact_store.hpp).
 //
 // The in-memory side is byte-budgeted: inserts evict the least recently
 // used entries (svc.cache_evictions) so a long-lived server accumulating
@@ -52,34 +50,16 @@ class Session {
   // over this design afterwards.
   class Design {
    public:
-    explicit Design(circuit::Netlist nl, std::string text = {})
-        : netlist_(std::move(nl)), text_(std::move(text)) {}
+    explicit Design(circuit::Netlist nl) : netlist_(std::move(nl)) {}
     const circuit::Netlist& netlist() const { return netlist_; }
-    const std::string& text() const { return text_; }
     // Lazily compiles (once) and returns the shared SimGraph. The graph
-    // references netlist(), which this Design keeps alive. With a store
-    // attached, a fresh compile is published back as a design artifact,
-    // and a shape-matching base design (set by the Session) is used for
-    // an incremental recompile instead of a full one when possible.
+    // references netlist(), which this Design keeps alive.
     std::shared_ptr<const sim::SimGraph> graph() const;
 
    private:
-    friend class Session;
-    // The graph if already compiled/installed, else nullptr — never
-    // triggers a compile (used to snapshot an incremental base without
-    // cascading).
-    std::shared_ptr<const sim::SimGraph> compiled() const;
-
     circuit::Netlist netlist_;
-    std::string text_;
-    store::ArtifactStore* store_ = nullptr;  // set when store-backed
-    store::Key128 store_key_{};
-    store::Key128 shape_{};
     mutable std::mutex mu_;
     mutable std::shared_ptr<const sim::SimGraph> graph_;
-    // Same-shape sibling to recompile incrementally from; dropped after
-    // the first compile so design chains cannot pin memory.
-    mutable std::shared_ptr<const Design> base_;
   };
 
   struct Options {
@@ -146,14 +126,6 @@ class Session {
       std::shared_ptr<const tech::Process> process);
   void evict_locked();
 
-  // Store-side miss handling: decode a stored design entry, or parse and
-  // publish. Returns nullptr when the store has no usable entry.
-  std::shared_ptr<Design> design_from_store(const std::string& text);
-  // Most recent same-shape design to use as an incremental base (memory
-  // first, then the store's group index), excluding `key`.
-  std::shared_ptr<const Design> find_base(const store::Key128& key,
-                                          const store::Key128& shape);
-
   std::uint64_t id_;
   Options options_;
   mutable std::mutex mu_;
@@ -162,9 +134,6 @@ class Session {
   std::unordered_map<std::uint64_t, std::vector<Entry<Design>>> designs_;
   std::unordered_map<std::uint64_t, std::vector<Entry<tech::Process>>>
       processes_;
-  // Shape hex -> most recent design with that shape (weak: eviction must
-  // actually release memory).
-  std::unordered_map<std::string, std::weak_ptr<const Design>> by_shape_;
 
   std::mutex memo_mu_;
   std::unordered_map<std::string, std::string> memo_blobs_;  // by key hex

@@ -20,12 +20,7 @@
 
 #include "check/codes.hpp"
 #include "check/diag.hpp"
-#include "circuit/generators.hpp"
-#include "circuit/netlist.hpp"
-#include "sim/graph_io.hpp"
-#include "sim/sim_graph.hpp"
 #include "store/artifact_store.hpp"
-#include "store/design_codec.hpp"
 #include "store/hash.hpp"
 #include "svc/client.hpp"
 #include "svc/handlers.hpp"
@@ -48,11 +43,11 @@ namespace {
 // if its object file is linked into this binary. Referencing one symbol
 // per site-owning TU forces that, so RegistryListsEveryCompiledSite
 // genuinely checks the full registry.
-// Every other site-owning TU (socket, service, artifact_store,
-// design_codec, graph_io) is called directly by a test below, which
-// links its object; nothing here calls into server.cpp, so its
-// svc.accept site needs an explicit reference the optimizer cannot
-// drop — a volatile store is observable and survives.
+// Every other site-owning TU (socket, service, artifact_store) is
+// called directly by a test below, which links its object; nothing here
+// calls into server.cpp, so its svc.accept site needs an explicit
+// reference the optimizer cannot drop — a volatile store is observable
+// and survives.
 [[maybe_unused]] int (*volatile kForceServerLink)(const svc::ServerOptions&) =
     &svc::serve;
 
@@ -190,9 +185,8 @@ TEST_F(FailpointTest, RegistryListsEveryCompiledSite) {
   // The site registry is a contract shared with tools/chaos_soak.py
   // (EXPECTED_SITES) and docs/RESILIENCE.md — update all three together.
   const char* expected[] = {
-      "sim.graph_decode", "store.design_decode", "store.group_write",
-      "store.read",       "store.rename",        "store.sweep_unlink",
-      "store.temp_write", "svc.accept",          "svc.sock_read",
+      "store.read",       "store.rename",  "store.sweep_unlink",
+      "store.temp_write", "svc.accept",    "svc.sock_read",
       "svc.sock_write",   "svc.worker",
   };
   for (const char* name : expected)
@@ -305,23 +299,6 @@ TEST_F(FailpointTest, StoreRenameTornIsCaughtByTheReadChecksum) {
   EXPECT_EQ(store.get("design", key), std::string(512, 'p'));
 }
 
-TEST_F(FailpointTest, StoreGroupWriteErrorLosesOnlyTheAdvisoryIndex) {
-  StoreDir dir;
-  st::ArtifactStore store{{dir.path()}};
-  const st::Key128 key = st::hash128("k");
-
-  fp::configure("store.group_write=error");
-  EXPECT_TRUE(store.put("design", key, "payload", "shapeA"))
-      << "losing advisory index data must not fail the put";
-  EXPECT_EQ(store.get("design", key), "payload");
-  EXPECT_TRUE(store.group_keys("design", "shapeA").empty());
-
-  fp::reset();
-  ASSERT_TRUE(store.put("design", key, "payload", "shapeA"));
-  ASSERT_EQ(store.group_keys("design", "shapeA").size(), 1u);
-  EXPECT_TRUE(store.group_keys("design", "shapeA")[0] == key);
-}
-
 TEST_F(FailpointTest, StoreSweepUnlinkErrorOnlyDefersEviction) {
   StoreDir dir;
   st::ArtifactStore writer{{dir.path(), 0}};
@@ -341,42 +318,6 @@ TEST_F(FailpointTest, StoreSweepUnlinkErrorOnlyDefersEviction) {
   fp::reset();
   budgeted.sweep();
   EXPECT_EQ(lvart_count(dir.path()), 1u) << "the next sweep evicts normally";
-}
-
-TEST_F(FailpointTest, DesignDecodeFailpointIsAMissNotAWrongDesign) {
-  lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 4);
-  const std::string payload = st::encode_design("rca4", nl, nullptr);
-  ASSERT_TRUE(st::decode_design(payload).has_value()) << "payload is valid";
-
-  fp::configure("store.design_decode=error");
-  EXPECT_FALSE(st::decode_design(payload).has_value())
-      << "an injected decode failure must read as a miss";
-
-  fp::reset();
-  const auto decoded = st::decode_design(payload);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(st::encode_design(decoded->text, decoded->netlist, nullptr),
-            payload)
-      << "recovered decode must be bit-identical";
-}
-
-TEST_F(FailpointTest, GraphDecodeFailpointThrowsTheCorruptEntrySignal) {
-  lv::circuit::Netlist nl;
-  lv::circuit::build_ripple_carry_adder(nl, 4);
-  const auto compiled = lv::sim::SimGraph::compile(nl);
-  const std::string blob = lv::sim::encode_graph(*compiled);
-  ASSERT_NE(lv::sim::decode_graph(nl, blob), nullptr) << "blob is valid";
-
-  // util::Error is exactly what the store turns into miss+delete, so an
-  // injected decode failure rides the existing recovery path.
-  fp::configure("sim.graph_decode=error");
-  EXPECT_THROW((void)lv::sim::decode_graph(nl, blob), lv::util::Error);
-
-  fp::reset();
-  const auto again = lv::sim::decode_graph(nl, blob);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(lv::sim::encode_graph(*again), blob) << "recompute bit-identical";
 }
 
 // ---- svc containment and client give-up ------------------------------

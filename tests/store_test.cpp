@@ -1,8 +1,7 @@
 // lv::store contract: the 128-bit content hash, the binio primitives it
 // shares with every codec, and the on-disk artifact store — checked
 // reads (corrupt/truncated entries are misses and get deleted, never
-// trusted), atomic writes, group indexes, stats/clear, and the
-// deterministic LRU sweep.
+// trusted), atomic writes, stats/clear, and the deterministic LRU sweep.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -256,40 +255,6 @@ TEST(ArtifactStore, RemoveAndStatsAndClear) {
   EXPECT_FALSE(store.get("memos", k1).has_value());
 }
 
-TEST(ArtifactStore, GroupIndexListsNewestFirstAndSurvivesJunk) {
-  StoreDir dir;
-  st::ArtifactStore store{{dir.path()}};
-  const st::Key128 k1 = st::hash128("rev1");
-  const st::Key128 k2 = st::hash128("rev2");
-  const st::Key128 k3 = st::hash128("rev3");
-  ASSERT_TRUE(store.put("design", k1, "p1", "shapeA"));
-  ASSERT_TRUE(store.put("design", k2, "p2", "shapeA"));
-  ASSERT_TRUE(store.put("design", k3, "p3", "shapeB"));
-
-  const std::vector<st::Key128> keys = store.group_keys("design", "shapeA");
-  ASSERT_EQ(keys.size(), 2u);
-  EXPECT_TRUE(keys[0] == k2) << "newest revision must come first";
-  EXPECT_TRUE(keys[1] == k1);
-  EXPECT_EQ(store.group_keys("design", "shapeB").size(), 1u);
-  EXPECT_TRUE(store.group_keys("design", "nosuch").empty());
-
-  // Re-adding an existing key moves it to the front, no duplicate.
-  ASSERT_TRUE(store.put("design", k1, "p1", "shapeA"));
-  const auto again = store.group_keys("design", "shapeA");
-  ASSERT_EQ(again.size(), 2u);
-  EXPECT_TRUE(again[0] == k1);
-
-  // Garbage lines in the index are skipped, valid ones still parse.
-  std::ofstream app;
-  for (const auto& it :
-       fs::directory_iterator(dir.path() / "design@groups")) {
-    app.open(it.path(), std::ios::app);
-    app << "not-a-hex-key\nzzzz\n";
-    app.close();
-  }
-  EXPECT_EQ(store.group_keys("design", "shapeA").size(), 2u);
-}
-
 TEST(ArtifactStore, SweepEvictsOldestMtimeFirst) {
   StoreDir dir;
   // Unbounded writer first, so put() does not sweep while we arrange
@@ -409,5 +374,4 @@ TEST(ArtifactStore, UnwritableDirectoryDegradesToMisses) {
   EXPECT_FALSE(store.get("design", key).has_value());
   EXPECT_EQ(store.stats().entries, 0u);
   EXPECT_EQ(store.clear(), 0u);
-  EXPECT_TRUE(store.group_keys("design", "g").empty());
 }

@@ -1,8 +1,6 @@
 // Session cache semantics: byte-budgeted LRU eviction (deterministic via
 // kEntryOverhead accounting), racing-miss dedup, and the artifact-store
-// integration — warm restarts skip parse *and* compile, poisoned store
-// entries cost a reparse but never a wrong design, and a same-shape
-// sibling from the store's group index seeds an incremental recompile.
+// memo bank, which survives a restart.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -16,10 +14,8 @@
 
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "sim/graph_io.hpp"
 #include "sim/sim_graph.hpp"
 #include "store/artifact_store.hpp"
-#include "store/design_codec.hpp"
 #include "svc/session.hpp"
 
 namespace fs = std::filesystem;
@@ -38,12 +34,6 @@ std::uint64_t sched_counter(const std::string& name) {
   const auto report = lv::obs::Registry::global().report();
   const auto it = report.scheduling_counters.find(name);
   return it == report.scheduling_counters.end() ? 0 : it->second;
-}
-
-std::uint64_t timer_calls(const std::string& name) {
-  const auto report = lv::obs::Registry::global().report();
-  const auto it = report.timers.find(name);
-  return it == report.timers.end() ? 0 : it->second.calls;
 }
 
 class StoreDir {
@@ -74,25 +64,6 @@ const char* kNetA =
     "gate g0 AND2 t0 a b\n"
     "gate g1 INV y t0\n"
     "output y\n";
-
-// Same shape as kNetA (nets, names, outputs, arity all equal), different
-// cell kind — the incremental-recompile envelope.
-const char* kNetAKindSwap =
-    "lvnet 1\n"
-    "input a\n"
-    "input b\n"
-    "net t0\n"
-    "net y\n"
-    "gate g0 OR2 t0 a b\n"
-    "gate g1 INV y t0\n"
-    "output y\n";
-
-const char* kNetB =
-    "lvnet 1\n"
-    "input p\n"
-    "net q\n"
-    "gate u0 BUF q p\n"
-    "output q\n";
 
 }  // namespace
 
@@ -163,92 +134,6 @@ TEST(SvcSession, RacingMissesKeepExactlyOneEntry) {
   for (std::size_t i = 1; i < kThreads; ++i)
     EXPECT_EQ(results[i], results[0]) << "thread " << i;
   EXPECT_EQ(session.cached_designs(), 1u);
-}
-
-TEST(SvcSession, WarmRestartSkipsParseAndCompile) {
-  StoreDir dir;
-  std::string cold_blob;
-  {
-    st::ArtifactStore store{{dir.path()}};
-    svc::Session cold{1, svc::Session::Options{&store}};
-    const auto design = cold.netlist(kNetA, "");
-    cold_blob = lv::sim::encode_graph(*design->graph());
-  }
-
-  // Fresh store instance over the same directory + fresh session = a
-  // process restart. The acceptance criterion: zero parses, zero graph
-  // compilations, at least one store hit.
-  st::ArtifactStore store{{dir.path()}};
-  svc::Session warm{2, svc::Session::Options{&store}};
-  const std::uint64_t parses0 = sched_counter("svc.netlist_parses");
-  const std::uint64_t compiles0 = timer_calls("sim.graph_compile_ns");
-  const std::uint64_t hits0 = sched_counter("store.hits");
-
-  const auto design = warm.netlist(kNetA, "");
-  const auto graph = design->graph();
-
-  EXPECT_EQ(sched_counter("svc.netlist_parses"), parses0);
-  EXPECT_EQ(timer_calls("sim.graph_compile_ns"), compiles0);
-  EXPECT_GE(sched_counter("store.hits"), hits0 + 1);
-  // And the decoded graph is bit-identical to the one the cold session
-  // compiled.
-  EXPECT_EQ(lv::sim::encode_graph(*graph), cold_blob);
-}
-
-TEST(SvcSession, PoisonedStoreEntryCostsAReparseNeverAWrongDesign) {
-  // Plant kNetB's encoded design under kNetA's key — what a 128-bit
-  // collision (or a tampered cache) would look like. The session must
-  // notice the text mismatch, drop the entry, and parse.
-  StoreDir dir;
-  st::ArtifactStore store{{dir.path()}};
-  {
-    svc::Session writer{1, svc::Session::Options{&store}};
-    writer.netlist(kNetB, "");  // a validated netlist to encode
-  }
-  const auto poison = store.get("design", st::design_key(kNetB));
-  ASSERT_TRUE(poison.has_value());
-  ASSERT_TRUE(store.put("design", st::design_key(kNetA), *poison));
-
-  svc::Session session{2, svc::Session::Options{&store}};
-  const std::uint64_t parses0 = sched_counter("svc.netlist_parses");
-  const auto design = session.netlist(kNetA, "");
-  EXPECT_EQ(sched_counter("svc.netlist_parses"), parses0 + 1);
-  // The right design, not the imposter's.
-  EXPECT_EQ(design->text(), kNetA);
-  EXPECT_TRUE(design->netlist().find_net("t0") !=
-              lv::circuit::kInvalidNet);
-
-  // The poisoned entry was replaced by the honest reparse.
-  const auto healed = store.get("design", st::design_key(kNetA));
-  ASSERT_TRUE(healed.has_value());
-  const auto decoded = st::decode_design(*healed);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->text, kNetA);
-}
-
-TEST(SvcSession, StoreGroupIndexSeedsIncrementalRecompile) {
-  StoreDir dir;
-  {
-    // First process: parse + compile kNetA, publishing it (with graph)
-    // under its shape group.
-    st::ArtifactStore store{{dir.path()}};
-    svc::Session s1{1, svc::Session::Options{&store}};
-    s1.netlist(kNetA, "")->graph();
-  }
-
-  // Second process asks for the kind-swapped revision: a store miss, but
-  // the shape group points at kNetA's entry, so the compile is
-  // incremental from that base — and still bit-identical to a
-  // from-scratch compile.
-  st::ArtifactStore store{{dir.path()}};
-  svc::Session s2{2, svc::Session::Options{&store}};
-  const std::uint64_t inc0 = sched_counter("sim.incremental_recompiles");
-  const auto design = s2.netlist(kNetAKindSwap, "");
-  const auto graph = design->graph();
-  EXPECT_EQ(sched_counter("sim.incremental_recompiles"), inc0 + 1);
-
-  const lv::sim::SimGraph full{design->netlist()};
-  EXPECT_EQ(lv::sim::encode_graph(*graph), lv::sim::encode_graph(full));
 }
 
 TEST(SvcSession, MemoBlobMergeKeepsTheLargerAndSurvivesRestart) {

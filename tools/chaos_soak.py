@@ -50,9 +50,6 @@ HELLO, HELLO_OK, REQUEST, RESPONSE, ERROR, SHUTDOWN, SHUTDOWN_OK = range(1, 8)
 # (RegistryListsEveryCompiledSite) and docs/RESILIENCE.md; `lvtool
 # failpoints` prints these sorted, one per line.
 EXPECTED_SITES = [
-    "sim.graph_decode",
-    "store.design_decode",
-    "store.group_write",
     "store.read",
     "store.rename",
     "store.sweep_unlink",
@@ -70,10 +67,7 @@ DEFAULT_FAILPOINTS = ",".join(
         "store.read=torn:0.05@11",
         "store.temp_write=torn:0.05@12",
         "store.rename=error:0.02@13",
-        "store.group_write=delay:0.05@14",
-        "store.design_decode=error:0.05@15",
         "store.sweep_unlink=error:0.05@16",
-        "sim.graph_decode=error:0.05@17",
         "svc.sock_read=torn:0.02@18",
         "svc.sock_write=error:0.01@19",
         "svc.accept=error:0.05@20",
@@ -114,6 +108,15 @@ VARIANTS = [
         [(b"--vectors", b"32"), (b"--seed", b"9")],
         [(b"netlist", NETLIST_INV)],
     ),
+    # power and timing read and publish the store's memo bank, so the
+    # store.* sites see traffic.
+    (
+        b"power",
+        [b"soak.lvnet", b"soi_low_vt"],
+        [(b"--alpha", b"0.3")],
+        [(b"netlist", NETLIST_AND)],
+    ),
+    (b"timing", [b"soak2.lvnet", b"soias"], [], [(b"netlist", NETLIST_INV)]),
     (b"version", [], [], []),
     (b"techfile", [b"soias"], [], []),
 ]

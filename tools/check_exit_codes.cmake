@@ -64,6 +64,14 @@ expect_exit(2 ${LVTOOL} check ${WORK}/gap.lvnet --strict)
 # Unknown subcommand is a usage (input) error, not an internal one.
 expect_exit(2 ${LVTOOL} frobnicate)
 
+# So is a known subcommand with the wrong number of arguments.
+expect_exit(2 ${LVTOOL} gen)
+expect_match("${LAST_ERR}" "cli.option")
+expect_exit(2 ${LVTOOL} gen mul)
+expect_match("${LAST_ERR}" "cli.option")
+expect_exit(2 ${LVTOOL} power)
+expect_match("${LAST_ERR}" "cli.option")
+
 # Every design `gen` produces is processed: stuck-at campaigns on the 16-
 # and 32-bit array multipliers (32 and 64 inputs) with the default
 # kernel finish in well under a second. They grade settled values, so

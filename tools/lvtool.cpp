@@ -223,7 +223,7 @@ void usage() {
       "Local modes accept --cache-dir <dir> (default: $LVSIM_CACHE_DIR,\n"
       "else $XDG_CACHE_HOME/lvsim, else ~/.cache/lvsim; 'none' disables)\n"
       "and --cache-max-bytes <n>: a cross-session artifact store that\n"
-      "makes repeat runs skip netlist parsing and graph compilation.\n"
+      "keeps the power/timing memo tables between runs.\n"
       "LVSIM_FAILPOINTS=site=action[:prob][@seed],... arms deterministic\n"
       "fault injection (see docs/RESILIENCE.md; `lvtool failpoints` lists\n"
       "the sites compiled into this binary).\n",

@@ -17,9 +17,9 @@ threads, then asserts:
 Then (unless --cache-dir none) it restarts the server against the same
 artifact-store directory — reusing the stale socket path left by the
 first cycle, which exercises the probe-then-unlink reclaim — and asserts
-the warm server answers a simulate request with zero netlist parses and
-zero SimGraph compilations (store.hits > 0, svc.netlist_parses == 0,
-sim.graph_compile_ns calls == 0).
+the warm server answers the cold cycle's power request with exit 0, a
+store hit (the AnalysisContext memo bank the cold cycle published
+survived the restart: store.hits > 0) and the same stdout.
 
 Run directly (./serve_soak.py --lvtool build/tools/lvtool) or via ctest
 (lvtool_serve_soak). CI runs it against tsan and asan/ubsan builds.
@@ -76,6 +76,15 @@ def encode_request(op, positional=(), options=(), inputs=(), deadline_ms=0):
         put_str(buf, role)
         put_str(buf, content)
     return bytes(buf)
+
+
+# Sent once per cycle; its memo tables are what the store carries over.
+POWER_REQUEST = encode_request(
+    b"power",
+    positional=[b"soak.lvnet", b"soi_low_vt"],
+    options=[(b"--alpha", b"0.3")],
+    inputs=[(b"netlist", NETLIST)],
+)
 
 
 class Cursor:
@@ -227,11 +236,6 @@ def scrape_counter(report_json, section, name):
     return report.get(section, {}).get(name, 0)
 
 
-def scrape_timer_calls(report_json, name):
-    report = json.loads(report_json)
-    return report.get("timers", {}).get(name, {}).get("calls", 0)
-
-
 def start_server(lvtool, path, cache_dir):
     cmd = [lvtool, "serve", "--socket", path, "--queue", "256"]
     cmd += ["--cache-dir", cache_dir if cache_dir else "none"]
@@ -362,19 +366,12 @@ def main():
                 ),
             )
             assert kind == RESPONSE and decode_response(payload)[0] == 0
-        # A simulate request forces SimGraph compilation, which publishes
-        # the compiled graph to the artifact store for the warm cycle.
-        kind, _, payload = conn.round_trip(
-            REQUEST,
-            3,
-            encode_request(
-                b"simulate",
-                positional=[b"soak.lvnet"],
-                options=[(b"--vectors", b"64")],
-                inputs=[(b"netlist", NETLIST)],
-            ),
-        )
-        assert kind == RESPONSE and decode_response(payload)[0] == 0
+        # A power request fills the AnalysisContext memo tables, which the
+        # session publishes to the artifact store for the warm cycle.
+        kind, _, payload = conn.round_trip(REQUEST, 3, POWER_REQUEST)
+        assert kind == RESPONSE
+        exit_code, cold_out, err_bytes, *_ = decode_response(payload)
+        assert exit_code == 0, f"cold power -> {exit_code}: {err_bytes!r}"
         report_json = scrape_report(conn, 4)
         cache_hits = scrape_counter(report_json, "scheduling_counters",
                                     "svc.cache_hits")
@@ -389,36 +386,23 @@ def main():
 
         # Warm cycle: a fresh server process over the same artifact store
         # (and the stale socket file the first cycle left behind) must
-        # answer the same simulate request without parsing the netlist or
-        # compiling the graph.
+        # answer the same power request from the memo bank the cold cycle
+        # published, with the same stdout.
         if cache_dir:
             server = start_server(args.lvtool, path, cache_dir)
             wait_ready(path, server)
             conn = Conn(path)
-            kind, _, payload = conn.round_trip(
-                REQUEST,
-                1,
-                encode_request(
-                    b"simulate",
-                    positional=[b"soak.lvnet"],
-                    options=[(b"--vectors", b"64")],
-                    inputs=[(b"netlist", NETLIST)],
-                ),
-            )
+            kind, _, payload = conn.round_trip(REQUEST, 1, POWER_REQUEST)
             assert kind == RESPONSE
-            exit_code, _, err_bytes, *_ = decode_response(payload)
-            assert exit_code == 0, f"warm simulate -> {exit_code}: {err_bytes!r}"
+            exit_code, warm_out, err_bytes, *_ = decode_response(payload)
+            assert exit_code == 0, f"warm power -> {exit_code}: {err_bytes!r}"
+            assert warm_out == cold_out, (
+                f"warm power output differs:\n{warm_out!r}\n{cold_out!r}"
+            )
             report_json = scrape_report(conn, 2)
             store_hits = scrape_counter(report_json, "scheduling_counters",
                                         "store.hits")
-            parses = scrape_counter(report_json, "scheduling_counters",
-                                    "svc.netlist_parses")
-            compiles = scrape_timer_calls(report_json, "sim.graph_compile_ns")
             assert store_hits > 0, f"warm cycle missed the store:\n{report_json}"
-            assert parses == 0, f"warm cycle reparsed the netlist:\n{report_json}"
-            assert compiles == 0, (
-                f"warm cycle recompiled the graph:\n{report_json}"
-            )
             shut_down_clean(server, conn, 3)
         else:
             store_hits = 0
